@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-compare bench-smoke wapd serve fuzz-smoke chaos chaos-backend weapons-gate ir-diff fuse-diff
+.PHONY: all build test race vet lint bench bench-compare bench-smoke wapd serve fuzz-smoke chaos chaos-backend weapons-gate ir-diff fuse-diff perfbench-test
 
 all: build vet test
 
@@ -108,3 +108,9 @@ ir-diff:
 fuse-diff:
 	$(GO) test -race -count=1 ./internal/core/ -run 'TestFused'
 	$(GO) test -race -count=1 ./internal/taint/ -run 'TestFused'
+
+# The repository benchmark's own tests. perfbench is a nested module
+# (repro/perfbench), so the root `go test ./...` never reaches it. Mirrors
+# the CI perfbench job.
+perfbench-test:
+	cd perfbench && $(GO) vet ./... && $(GO) test -race ./...

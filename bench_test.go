@@ -784,7 +784,7 @@ mysql_query("SELECT COUNT(*) FROM users WHERE id=" . $id);`
 	if len(cands) != 1 {
 		b.Fatalf("candidates = %d", len(cands))
 	}
-	ex := symptom.NewExtractor(nil)
+	ex := symptom.NewExtractor(nil).NewScan()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ex.Extract(cands[0], f)

@@ -307,6 +307,12 @@ type Engine struct {
 	digestOnce sync.Once
 	digestVal  string
 
+	// sinkTabOnce builds the sink pre-filter's token table on the engine's
+	// first pre-filtered scan; like the digest, it depends only on
+	// immutable post-New state.
+	sinkTabOnce sync.Once
+	sinkTab     *sinkTable
+
 	// reuseCache holds, per project name, the decoded findings of the last
 	// persisted snapshot, so an in-process warm rescan skips re-decoding
 	// store entries. Generations are replaced wholesale (copy-on-write):
@@ -630,6 +636,9 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 		exec.shared = taint.NewSharedSummaries()
 	}
 	shared := exec.shared
+	// The symptom scope memo lives exactly as long as this scan, so a
+	// long-lived engine never pins an earlier project's ASTs.
+	sx := e.extractor.NewScan()
 	tasks := plan.tasks
 	results := exec.results
 	budget := e.effectiveBudget()
@@ -661,7 +670,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 					outc <- taskOutcome{panicVal: fmt.Sprint(r), stack: string(debug.Stack())}
 				}
 			}()
-			outc <- e.runTask(t, p, stop, attemptBudget, shared)
+			outc <- e.runTask(t, p, stop, attemptBudget, shared, sx)
 		}()
 
 		var timeoutC <-chan time.Time
@@ -903,7 +912,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 					outc <- fusedResult{}
 				}
 			}()
-			outs, ok := e.runFusedTasks(ts, p, stop, budget, shared)
+			outs, ok := e.runFusedTasks(ts, p, stop, budget, shared, sx)
 			outc <- fusedResult{outs: outs, ok: ok}
 		}()
 		var timeoutC <-chan time.Time
@@ -1134,7 +1143,7 @@ func plural(n int, one, many string) string {
 // goroutine: everything it touches besides the engine's read-only state is
 // task-local, so an abandoned (timed-out) invocation cannot race a live
 // scan.
-func (e *Engine) runTask(t task, p *Project, stop *atomic.Bool, budget int, shared *taint.SharedSummaries) taskOutcome {
+func (e *Engine) runTask(t task, p *Project, stop *atomic.Bool, budget int, shared *taint.SharedSummaries, sx *symptom.Scan) taskOutcome {
 	if e.opts.TaskHook != nil {
 		e.opts.TaskHook(t.file.Path, t.cls.ID)
 	}
@@ -1170,7 +1179,7 @@ func (e *Engine) runTask(t task, p *Project, stop *atomic.Bool, budget int, shar
 		if w, ok := e.weapons[cand.Class]; ok {
 			f.Weapon = string(w.Class.ID)
 		}
-		f.Symptoms = e.extractor.Extract(cand, t.file.AST)
+		f.Symptoms = sx.Extract(cand, t.file.AST)
 		f.PredictedFP, f.Votes = e.predict(f.Symptoms)
 		out.findings = append(out.findings, f)
 	}

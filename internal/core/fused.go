@@ -3,6 +3,7 @@ package core
 import (
 	"sync/atomic"
 
+	"repro/internal/symptom"
 	"repro/internal/taint"
 )
 
@@ -40,7 +41,7 @@ func fuseGroups(plan *scanPlan) [][]int {
 // clean unfused first attempts. ok=false means the pass aborted (a lane's
 // step budget, or the cooperative stop): lane state is then meaningless and
 // the caller demotes the whole group to unfused execution.
-func (e *Engine) runFusedTasks(ts []task, p *Project, stop *atomic.Bool, budget int, shared *taint.SharedSummaries) ([]taskOutcome, bool) {
+func (e *Engine) runFusedTasks(ts []task, p *Project, stop *atomic.Bool, budget int, shared *taint.SharedSummaries, sx *symptom.Scan) ([]taskOutcome, bool) {
 	cfgs := make([]taint.Config, len(ts))
 	for k, t := range ts {
 		if e.opts.TaskHook != nil {
@@ -76,7 +77,7 @@ func (e *Engine) runFusedTasks(ts []task, p *Project, stop *atomic.Bool, budget 
 			if w, ok := e.weapons[cand.Class]; ok {
 				f.Weapon = string(w.Class.ID)
 			}
-			f.Symptoms = e.extractor.Extract(cand, t.file.AST)
+			f.Symptoms = sx.Extract(cand, t.file.AST)
 			f.PredictedFP, f.Votes = e.predict(f.Symptoms)
 			out.findings = append(out.findings, f)
 		}

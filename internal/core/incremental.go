@@ -101,9 +101,15 @@ func (e *Engine) setProjectCache(name string, m map[string]*decodedTask) {
 // task's fingerprint is looked up in the previous snapshot; an entry that
 // decodes cleanly satisfies the task without execution.
 func (e *Engine) planScan(ctx context.Context, p *Project, store *resultstore.Store, stats *statsCollector) *scanPlan {
+	// The pre-filter and the store fingerprints share one closure
+	// computation.
+	var reach [][]int
+	if !e.opts.DisableSinkPrefilter || store != nil {
+		reach = fileClosures(p)
+	}
 	var pf *prefilter
 	if !e.opts.DisableSinkPrefilter {
-		pf = newPrefilter(p)
+		pf = newPrefilter(e.sinkTable(), p, reach)
 	}
 
 	plan := &scanPlan{store: store}
@@ -111,7 +117,6 @@ func (e *Engine) planScan(ctx context.Context, p *Project, store *resultstore.St
 		snap      *resultstore.Snapshot
 		cHashes   []string
 		ix        *nodeIndexer
-		reach     [][]int
 		closures  [][]*SourceFile
 		prevCache map[string]*decodedTask
 	)
@@ -119,10 +124,6 @@ func (e *Engine) planScan(ctx context.Context, p *Project, store *resultstore.St
 		plan.digest = e.configDigest()
 		snap, plan.loadInfo = store.LoadWithInfoContext(ctx, p.Name, plan.digest)
 		plan.status = plan.loadInfo.Status
-		reach = fileClosures(p)
-		if pf != nil {
-			reach = pf.reach
-		}
 		cHashes = closureHashes(p, reach)
 		ix = newNodeIndexer(p)
 		closures = make([][]*SourceFile, len(p.Files))
@@ -130,8 +131,8 @@ func (e *Engine) planScan(ctx context.Context, p *Project, store *resultstore.St
 	}
 
 	for fi, file := range p.Files {
-		for _, cls := range e.classes {
-			if pf != nil && !pf.sinkReachable(fi, cls, e.opts.ClassSinks[cls.ID]) {
+		for ci, cls := range e.classes {
+			if pf != nil && !pf.sinkReachable(fi, ci) {
 				stats.recordSkip(cls.ID)
 				continue
 			}

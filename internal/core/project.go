@@ -55,50 +55,30 @@ type SourceFile struct {
 // SourceFile can serve concurrent scans (wapd jobs sharing a baseline).
 type fileMemo struct {
 	mu sync.Mutex
-	// lowered is the lower-cased source (sink pre-filter input).
-	lowered   string
-	loweredOK bool
-	// called is the set of statically named callables the file mentions.
-	called map[string]bool
-	// tokens memoizes sink-token lexical presence in the lowered source.
-	tokens map[string]bool
+	// called lists the statically named callables the file mentions.
+	called []string
+	// sinkMask is the file's sink-token presence mask under table sinkTab.
+	// A scan under another engine's table (a weapon hot swap) recomputes it.
+	sinkTab  *sinkTable
+	sinkMask []uint64
 }
 
-// loweredSrc returns strings.ToLower(Src), computed once.
-func (f *SourceFile) loweredSrc() string {
+// sinkMask returns the file's token presence mask under tab, computed once
+// per table.
+func (f *SourceFile) sinkMask(tab *sinkTable) []uint64 {
 	f.memo.mu.Lock()
 	defer f.memo.mu.Unlock()
-	if !f.memo.loweredOK {
-		f.memo.lowered = strings.ToLower(f.Src)
-		f.memo.loweredOK = true
+	if f.memo.sinkTab != tab {
+		f.memo.sinkMask = tab.presence(f.Src)
+		f.memo.sinkTab = tab
 	}
-	return f.memo.lowered
+	return f.memo.sinkMask
 }
 
-// hasToken reports whether the lowered source contains tok, memoized per
-// token. Callers must not pass attacker-controlled token sets: the memo
-// grows by one entry per distinct token ever asked (sink names, in practice).
-func (f *SourceFile) hasToken(tok string) bool {
-	f.memo.mu.Lock()
-	defer f.memo.mu.Unlock()
-	if !f.memo.loweredOK {
-		f.memo.lowered = strings.ToLower(f.Src)
-		f.memo.loweredOK = true
-	}
-	present, ok := f.memo.tokens[tok]
-	if !ok {
-		present = strings.Contains(f.memo.lowered, tok)
-		if f.memo.tokens == nil {
-			f.memo.tokens = make(map[string]bool)
-		}
-		f.memo.tokens[tok] = present
-	}
-	return present
-}
-
-// calledNames returns the file's statically named callables, computed once.
-// The returned map is shared: callers must treat it as read-only.
-func (f *SourceFile) calledNames() map[string]bool {
+// calledNames returns the file's statically named callables in sorted
+// order, computed once. The returned slice is shared: callers must treat it
+// as read-only.
+func (f *SourceFile) calledNames() []string {
 	f.memo.mu.Lock()
 	defer f.memo.mu.Unlock()
 	if f.memo.called == nil {
@@ -456,8 +436,8 @@ func (p *Project) runSlots(ctx context.Context, slots []loadSlot, opts LoadOptio
 }
 
 // executeSlot loads one file: read (for dir loads), hash, then either adopt
-// prev's byte-identical parse — memoized artifacts (lowered source, called
-// names) travel with the reused SourceFile — or parse fresh through the
+// prev's byte-identical parse — memoized artifacts (called names, sink
+// token mask) travel with the reused SourceFile — or parse fresh through the
 // shared intern table.
 func executeSlot(s *loadSlot, prev *Project, tab *intern.Table) loadResult {
 	src := s.src

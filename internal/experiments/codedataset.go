@@ -33,6 +33,7 @@ func BuildCodeDrivenDataset(seed int64) (*ml.Dataset, error) {
 			continue
 		}
 		proj := core.LoadMap(app.Name, app.Files)
+		sx := extractor.NewScan()
 		for _, sf := range proj.Files {
 			for _, cls := range vuln.WAPe() {
 				an := taint.New(taint.Config{Class: cls, Resolver: proj})
@@ -46,7 +47,7 @@ func BuildCodeDrivenDataset(seed int64) (*ml.Dataset, error) {
 					if !ok {
 						continue
 					}
-					present := extractor.Extract(cand, sf.AST)
+					present := sx.Extract(cand, sf.AST)
 					pool = append(pool, symptom.NewVectorFromSet(present, label))
 				}
 			}

@@ -151,8 +151,8 @@ func instrString(ins Instr) string {
 	if ins.IBlk != nil {
 		fmt.Fprintf(&b, " i=b%d", ins.IBlk.ID)
 	}
-	if ins.Pos.Line != 0 {
-		fmt.Fprintf(&b, " @%d:%d", ins.Pos.Line, ins.Pos.Column)
+	if pos := ins.Pos(); pos.Line != 0 {
+		fmt.Fprintf(&b, " @%d:%d", pos.Line, pos.Column)
 	}
 	return b.String()
 }

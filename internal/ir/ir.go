@@ -123,30 +123,62 @@ const (
 )
 
 // Instr is one three-address instruction. Operand meaning depends on Op;
-// unused fields are zero. AST back-pointers (Node, Expr, ArgExprs) carry
-// provenance the taint engine threads into candidates and trace steps.
+// unused fields are zero. Node is the AST construct the instruction lowers;
+// the taint engine threads it (and the position and call arguments derived
+// from it) into candidates and trace steps.
 type Instr struct {
-	Op   Op
-	Dst  Reg
-	A, B Reg
-	Args []Reg
+	Op    Op
+	AKind AssignKind
+	Dst   Reg
+	A, B  Reg
+	Args  []Reg
 
 	// Name / Key are identifier payloads; see the Op constants.
 	Name string
 	Key  string
 
-	AKind AssignKind
-	LV    *LValue
+	LV *LValue
 
-	Node     ast.Node
-	Expr     ast.Expr
-	ArgExprs []ast.Expr
-	Pos      token.Position
+	Node ast.Node
+	// Expr is the checked argument expression of OpPseudoSink and
+	// OpNamedSink (one echo argument, or the operand of print, include and
+	// exit).
+	Expr ast.Expr
 
 	// XBlk / IBlk are OpIndex's conditional sub-evaluations.
 	XBlk, IBlk *Block
 	// Closure is OpClosure's lowered body.
 	Closure *Func
+}
+
+// posOps is the set of opcodes that carry a source position: the ones the
+// taint engine cites in sources, trace steps and sink candidates.
+const posOps uint32 = 1<<OpLoadVar | 1<<OpIndex | 1<<OpConcat | 1<<OpInterp |
+	1<<OpAssign | 1<<OpCall | 1<<OpMethodCall | 1<<OpStaticCall |
+	1<<OpPseudoSink | 1<<OpNamedSink | 1<<OpReturn
+
+// Pos returns the instruction's source position — its Node's position for
+// the opcodes in posOps, the zero Position for every other opcode.
+func (ins *Instr) Pos() token.Position {
+	if posOps&(1<<ins.Op) == 0 {
+		return token.Position{}
+	}
+	return ins.Node.Pos()
+}
+
+// ArgExprs returns the argument expressions of a named call (OpCall,
+// OpMethodCall, OpStaticCall) — the call node's own Args — and nil for
+// every other opcode.
+func (ins *Instr) ArgExprs() []ast.Expr {
+	switch ins.Op {
+	case OpCall:
+		return ins.Node.(*ast.CallExpr).Args
+	case OpMethodCall:
+		return ins.Node.(*ast.MethodCallExpr).Args
+	case OpStaticCall:
+		return ins.Node.(*ast.StaticCallExpr).Args
+	}
+	return nil
 }
 
 // LVKind classifies assignment targets.
@@ -186,8 +218,11 @@ type Block struct {
 	ID     int
 	Instrs []Instr
 	Result Reg
-	Succs  []*Block
-	Preds  []*Block
+	// n counts the instructions emitted into the block while its function
+	// is being lowered; it sizes the block's slice of the file's arena.
+	n     int32
+	Succs []*Block
+	Preds []*Block
 }
 
 // RegionKind classifies region-tree nodes.

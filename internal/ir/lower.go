@@ -3,6 +3,7 @@ package ir
 import (
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/php/ast"
 	"repro/internal/php/token"
@@ -12,7 +13,7 @@ import (
 // registered function declaration, in the same source order the taint
 // engine's uncalled-function pass uses. The result is immutable.
 func LowerFile(f *ast.File) *File {
-	lw := &lowerer{funcSet: make(map[*ast.FunctionDecl]bool)}
+	lw := newLowerer()
 	decls := sortedDecls(f)
 	for _, d := range decls {
 		lw.funcSet[d] = true
@@ -26,6 +27,7 @@ func LowerFile(f *ast.File) *File {
 		out.Funcs = append(out.Funcs, fn)
 		out.ByDecl[d] = fn
 	}
+	lw.finish()
 	out.Visited = lw.visited
 	out.Skipped = lw.skipped
 	out.Notes = lw.notes
@@ -41,8 +43,11 @@ func LowerFile(f *ast.File) *File {
 // where a resolver hands the engine a declaration from a file whose lowered
 // form is not at hand.
 func LowerFunc(d *ast.FunctionDecl) *Func {
-	lw := &lowerer{funcSet: map[*ast.FunctionDecl]bool{d: true}}
-	return lw.lowerDecl(d)
+	lw := newLowerer()
+	lw.funcSet[d] = true
+	fn := lw.lowerDecl(d)
+	lw.finish()
+	return fn
 }
 
 // sortedDecls returns the file's registered declarations in source-position
@@ -84,6 +89,56 @@ type lowerer struct {
 
 	fn  *Func
 	cur *Block
+	// tape records every emitted instruction with its block, in emission
+	// order; finish scatters it into the file's instruction arena.
+	tape *tape
+}
+
+// tape is a reusable emission buffer. Lowering appends to it instead of
+// growing each block's slice by doubling, so the only instruction storage a
+// lowered file keeps is one exact-size arena.
+type tape struct {
+	ins []Instr
+	blk []*Block
+}
+
+var tapePool = sync.Pool{New: func() any { return new(tape) }}
+
+func newLowerer() *lowerer {
+	return &lowerer{
+		funcSet: make(map[*ast.FunctionDecl]bool),
+		tape:    tapePool.Get().(*tape),
+	}
+}
+
+// finish scatters the emission tape into one exact-size instruction arena —
+// each block gets its own len == cap window, laid out in function and block
+// order — returns the tape to its pool, then wires every function's CFG
+// (which reads the blocks' instructions).
+func (lw *lowerer) finish() {
+	t := lw.tape
+	lw.tape = nil
+	arena := make([]Instr, len(t.ins))
+	off := 0
+	for _, fn := range lw.allFuncs {
+		for _, b := range fn.Blocks {
+			if n := int(b.n); n > 0 {
+				b.Instrs = arena[off : off : off+n]
+				off += n
+			}
+		}
+	}
+	for i, b := range t.blk {
+		b.Instrs = append(b.Instrs, t.ins[i])
+	}
+	// Drop the AST and block references before pooling the buffer.
+	clear(t.ins)
+	clear(t.blk)
+	t.ins, t.blk = t.ins[:0], t.blk[:0]
+	tapePool.Put(t)
+	for _, fn := range lw.allFuncs {
+		wire(fn)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -150,7 +205,9 @@ func (lw *lowerer) block() *Block {
 
 func (lw *lowerer) emit(ins Instr) {
 	b := lw.block()
-	b.Instrs = append(b.Instrs, ins)
+	b.n++
+	lw.tape.ins = append(lw.tape.ins, ins)
+	lw.tape.blk = append(lw.tape.blk, b)
 }
 
 // emit1 emits a value-producing instruction into a fresh register.
@@ -230,7 +287,6 @@ func (lw *lowerer) lowerTop(f *ast.File) *Func {
 	fn := lw.fn
 	fn.Body = lw.lowerStmts(f.Stmts)
 	restore()
-	wire(fn)
 	return fn
 }
 
@@ -252,7 +308,6 @@ func (lw *lowerer) lowerDecl(d *ast.FunctionDecl) *Func {
 		fn.Body = &Region{Kind: RSeq}
 	}
 	restore()
-	wire(fn)
 	return fn
 }
 
@@ -270,7 +325,6 @@ func (lw *lowerer) lowerClosure(t *ast.ClosureExpr) *Func {
 	}
 	fn.Body = lw.lowerBlock(t.Body)
 	restore()
-	wire(fn)
 	return fn
 }
 
@@ -301,7 +355,7 @@ func (lw *lowerer) lowerStmt(seq *Region, s ast.Stmt) {
 	case *ast.EchoStmt:
 		for _, arg := range x.Args {
 			r := lw.lowerExpr(arg)
-			lw.emit(Instr{Op: OpPseudoSink, Name: "echo", A: r, Node: x, Expr: arg, Pos: x.Position})
+			lw.emit(Instr{Op: OpPseudoSink, Name: "echo", A: r, Node: x, Expr: arg})
 		}
 	case *ast.BlockStmt:
 		for _, st := range x.Stmts {
@@ -369,7 +423,7 @@ func (lw *lowerer) lowerStmt(seq *Region, s ast.Stmt) {
 		if x.Result != nil {
 			r = lw.lowerExpr(x.Result)
 		}
-		lw.emit(Instr{Op: OpReturn, A: r, Node: x, Pos: x.Position})
+		lw.emit(Instr{Op: OpReturn, A: r, Node: x})
 	case *ast.ThrowStmt:
 		lw.lowerExpr(x.X)
 	case *ast.TryStmt:
@@ -411,7 +465,7 @@ func (lw *lowerer) lowerStmt(seq *Region, s ast.Stmt) {
 		}
 	case *ast.IncludeStmt:
 		r := lw.lowerExpr(x.X)
-		lw.emit(Instr{Op: OpPseudoSink, Name: "include", A: r, Node: x, Expr: x.X, Pos: x.Position})
+		lw.emit(Instr{Op: OpPseudoSink, Name: "include", A: r, Node: x, Expr: x.X})
 	case *ast.InlineHTMLStmt, *ast.BreakStmt, *ast.ContinueStmt:
 		// No taint effect.
 	default:
@@ -445,7 +499,7 @@ func (lw *lowerer) lowerExpr(x ast.Expr) Reg {
 	lw.count(x)
 	switch t := x.(type) {
 	case *ast.Variable:
-		return lw.emit1(Instr{Op: OpLoadVar, Name: t.Name, Node: t, Expr: t, Pos: t.Position})
+		return lw.emit1(Instr{Op: OpLoadVar, Name: t.Name, Node: t})
 	case *ast.VarVar:
 		lw.lowerExpr(t.X)
 		return 0
@@ -457,7 +511,7 @@ func (lw *lowerer) lowerExpr(x ast.Expr) Reg {
 		for _, p := range t.Parts {
 			args = append(args, lw.lowerExpr(p))
 		}
-		return lw.emit1(Instr{Op: OpInterp, Args: args, Node: t, Pos: t.Position})
+		return lw.emit1(Instr{Op: OpInterp, Args: args, Node: t})
 	case *ast.ArrayLit:
 		var args []Reg
 		for _, it := range t.Items {
@@ -480,7 +534,7 @@ func (lw *lowerer) lowerExpr(x ast.Expr) Reg {
 			ib = lw.inBlock(func() Reg { return lw.lowerExpr(ie) })
 		}
 		return lw.emit1(Instr{Op: OpIndex, Name: base, Key: indexKey(t.Index),
-			XBlk: xb, IBlk: ib, Node: t, Expr: t, Pos: t.Position})
+			XBlk: xb, IBlk: ib, Node: t})
 	case *ast.PropExpr:
 		if key := propKeyOf(t); key != "" {
 			lw.count(t.X)
@@ -503,7 +557,7 @@ func (lw *lowerer) lowerExpr(x ast.Expr) Reg {
 		case token.Assign, token.CoalesceEq:
 			kind = AssignPlain
 		}
-		return lw.emit1(Instr{Op: OpAssign, A: rhs, AKind: kind, LV: lv, Node: t, Pos: t.Position})
+		return lw.emit1(Instr{Op: OpAssign, A: rhs, AKind: kind, LV: lv, Node: t})
 	case *ast.ListExpr:
 		var args []Reg
 		for _, it := range t.Items {
@@ -517,7 +571,7 @@ func (lw *lowerer) lowerExpr(x ast.Expr) Reg {
 		rb := lw.lowerExpr(t.Y)
 		switch t.Op {
 		case token.Dot:
-			return lw.emit1(Instr{Op: OpConcat, A: ra, B: rb, Node: t, Pos: t.Position})
+			return lw.emit1(Instr{Op: OpConcat, A: ra, B: rb, Node: t})
 		case token.Coalesce:
 			return lw.emit1(Instr{Op: OpUnion, Args: []Reg{ra, rb}, Node: t})
 		}
@@ -563,16 +617,16 @@ func (lw *lowerer) lowerExpr(x ast.Expr) Reg {
 	case *ast.ExitExpr:
 		if t.X != nil {
 			r := lw.lowerExpr(t.X)
-			lw.emit(Instr{Op: OpNamedSink, Name: "exit", A: r, Node: t, Expr: t.X, Pos: t.Position})
+			lw.emit(Instr{Op: OpNamedSink, Name: "exit", A: r, Node: t, Expr: t.X})
 		}
 		return 0
 	case *ast.PrintExpr:
 		r := lw.lowerExpr(t.X)
-		lw.emit(Instr{Op: OpPseudoSink, Name: "print", A: r, Node: t, Expr: t.X, Pos: t.Position})
+		lw.emit(Instr{Op: OpPseudoSink, Name: "print", A: r, Node: t, Expr: t.X})
 		return 0
 	case *ast.IncludeExpr:
 		r := lw.lowerExpr(t.X)
-		lw.emit(Instr{Op: OpPseudoSink, Name: "include", A: r, Node: t, Expr: t.X, Pos: t.Position})
+		lw.emit(Instr{Op: OpPseudoSink, Name: "include", A: r, Node: t, Expr: t.X})
 		return 0
 	case *ast.CloneExpr:
 		return lw.lowerExpr(t.X)
@@ -613,8 +667,7 @@ func (lw *lowerer) lowerExpr(x ast.Expr) Reg {
 			return lw.emit1(Instr{Op: OpUnion, Args: args, Node: t})
 		}
 		lw.count(t.Fn)
-		return lw.emit1(Instr{Op: OpCall, Name: name, Args: args,
-			ArgExprs: t.Args, Node: t, Expr: t, Pos: t.Position})
+		return lw.emit1(Instr{Op: OpCall, Name: name, Args: args, Node: t})
 	case *ast.MethodCallExpr:
 		recv := lw.lowerExpr(t.Recv)
 		args := make([]Reg, 0, len(t.Args))
@@ -630,7 +683,7 @@ func (lw *lowerer) lowerExpr(x ast.Expr) Reg {
 			recvName = strings.ToLower(rv.Name)
 		}
 		return lw.emit1(Instr{Op: OpMethodCall, A: recv, Name: strings.ToLower(t.Name),
-			Key: recvName, Args: args, ArgExprs: t.Args, Node: t, Expr: t, Pos: t.Position})
+			Key: recvName, Args: args, Node: t})
 	case *ast.StaticCallExpr:
 		args := make([]Reg, 0, len(t.Args))
 		for _, arg := range t.Args {
@@ -638,8 +691,7 @@ func (lw *lowerer) lowerExpr(x ast.Expr) Reg {
 		}
 		// Name and Key keep the original case: sink and sanitizer matching
 		// lower-case them, static resolution needs the source spelling.
-		return lw.emit1(Instr{Op: OpStaticCall, Name: t.Name, Key: t.Class,
-			Args: args, ArgExprs: t.Args, Node: t, Expr: t, Pos: t.Position})
+		return lw.emit1(Instr{Op: OpStaticCall, Name: t.Name, Key: t.Class, Args: args, Node: t})
 	default:
 		lw.skipRest(x, "unhandled-expr")
 		return 0

@@ -1,6 +1,8 @@
 package ir
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -240,4 +242,25 @@ func FuzzLower(f *testing.F) {
 			t.Fatal("nondeterministic lowering")
 		}
 	})
+}
+
+// TestGoldenKitchenSink pins the dump of the kitchen-sink file, which
+// exercises every opcode and region kind, against the committed golden
+// (IRGOLDEN_UPDATE=1 rewrites it, like TestGoldenIRDumps).
+func TestGoldenKitchenSink(t *testing.T) {
+	got := Dump(lower(t, kitchenSink))
+	path := filepath.Join("testdata", "golden", "kitchen-sink.ir")
+	if os.Getenv("IRGOLDEN_UPDATE") == "1" {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("kitchen-sink IR dump differs from %s:\n%s", path, got)
+	}
 }

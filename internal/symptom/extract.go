@@ -10,25 +10,25 @@ import (
 
 // Extractor collects symptoms from candidate vulnerabilities. One extractor
 // is configured per analysis run; it carries the dynamic symptoms of any
-// active weapons.
+// active weapons. It holds no per-scan state, so a long-lived extractor
+// (wapd keeps one per engine) never retains a scanned project's ASTs.
 type Extractor struct {
 	dynamic map[string]string // user function -> static symptom name
 	funcSet map[string]int    // static function symptoms
+}
 
-	// scopes memoizes the symptom-relevant sites of each scanned scope. A
-	// scope (file or function body) hosts every candidate whose sink it
-	// encloses, so without the memo each candidate re-walks the whole scope
-	// AST; with it the walk happens once and per-candidate work shrinks to
-	// testing the few relevant sites against the candidate's flow variables.
+// Scan is an Extractor scoped to one scan. It memoizes the symptom-relevant
+// sites of each scanned scope: a scope (file or function body) hosts every
+// candidate whose sink it encloses, so without the memo each candidate
+// re-walks the whole scope AST; with it the walk happens once per scan and
+// per-candidate work shrinks to testing the few relevant sites against the
+// candidate's flow variables. The memo dies with the Scan. Safe for
+// concurrent use.
+type Scan struct {
+	x      *Extractor
 	mu     sync.Mutex
 	scopes map[ast.Node]*scopeIndex
 }
-
-// scopeIndexCap bounds the scope memo. Scope keys are AST node pointers, so
-// entries for re-parsed files can never be revalidated — a long-lived
-// extractor (wapd keeps one per engine across scans) just drops the whole
-// memo when it fills and lets the active scan rebuild its own scopes.
-const scopeIndexCap = 4096
 
 // scopeIndex is the candidate-independent part of one scope's symptom scan:
 // the sites a candidate's flow variables have to be tested against, found by
@@ -53,19 +53,32 @@ func NewExtractor(dynamics []Dynamic) *Extractor {
 	for _, d := range dynamics {
 		dyn[strings.ToLower(d.Func)] = d.MapsTo
 	}
-	return &Extractor{dynamic: dyn, funcSet: FuncSymptoms(), scopes: make(map[ast.Node]*scopeIndex)}
+	return &Extractor{dynamic: dyn, funcSet: FuncSymptoms()}
+}
+
+// NewScan returns a scan-scoped view of x with an empty scope memo.
+func (x *Extractor) NewScan() *Scan {
+	return &Scan{x: x, scopes: make(map[ast.Node]*scopeIndex)}
 }
 
 // scopeIndexFor returns the memoized site index of scope, building it on
 // first use.
-func (x *Extractor) scopeIndexFor(scope ast.Node) *scopeIndex {
-	x.mu.Lock()
-	if idx, ok := x.scopes[scope]; ok {
-		x.mu.Unlock()
+func (s *Scan) scopeIndexFor(scope ast.Node) *scopeIndex {
+	s.mu.Lock()
+	idx, ok := s.scopes[scope]
+	s.mu.Unlock()
+	if ok {
 		return idx
 	}
-	x.mu.Unlock()
+	idx = s.x.indexScope(scope)
+	s.mu.Lock()
+	s.scopes[scope] = idx
+	s.mu.Unlock()
+	return idx
+}
 
+// indexScope finds the symptom-relevant sites of scope in one AST walk.
+func (x *Extractor) indexScope(scope ast.Node) *scopeIndex {
 	idx := &scopeIndex{}
 	ast.Inspect(scope, func(n ast.Node) bool {
 		switch t := n.(type) {
@@ -90,29 +103,33 @@ func (x *Extractor) scopeIndexFor(scope ast.Node) *scopeIndex {
 		}
 		return true
 	})
-
-	x.mu.Lock()
-	if len(x.scopes) >= scopeIndexCap {
-		x.scopes = make(map[ast.Node]*scopeIndex)
-	}
-	x.scopes[scope] = idx
-	x.mu.Unlock()
 	return idx
 }
 
 // Extract returns the set of symptom names present around the candidate's
 // data flow (paper Fig. 3, "collecting symptoms"): symptom functions applied
 // to the variables involved in the flow, language constructs guarding them,
-// and SQL-derived symptoms computed from the sink's query text.
+// and SQL-derived symptoms computed from the sink's query text. It walks
+// the candidate's scope afresh; Scan.Extract shares the walk across a
+// scan's candidates.
 func (x *Extractor) Extract(c *taint.Candidate, file *ast.File) map[string]bool {
+	return x.extract(c, file, x.indexScope)
+}
+
+// Extract is Extractor.Extract with the scope walk memoized for the scan.
+func (s *Scan) Extract(c *taint.Candidate, file *ast.File) map[string]bool {
+	return s.x.extract(c, file, s.scopeIndexFor)
+}
+
+func (x *Extractor) extract(c *taint.Candidate, file *ast.File, indexFor func(ast.Node) *scopeIndex) map[string]bool {
 	present := make(map[string]bool)
 
 	fv := involvedVars(c)
 	scope := enclosingScope(c, file)
 
-	// Test the scope's memoized symptom sites against the flow.
+	// Test the scope's symptom sites against the flow.
 	if scope != nil {
-		idx := x.scopeIndexFor(scope)
+		idx := indexFor(scope)
 		for _, call := range idx.calls {
 			if !present[call.sym] && fv.touchesAny(call.args) {
 				present[call.sym] = true

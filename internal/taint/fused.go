@@ -756,8 +756,8 @@ func (fz *Fused) runInstrF(ins *ir.Instr, fr *fframe) {
 		}
 		ev := fuseUniform(Value{
 			Tainted: true,
-			Sources: []Source{{Name: "$" + ins.Name, Pos: ins.Pos}},
-			Trace:   []Step{{Pos: ins.Pos, Desc: "entry point $" + ins.Name, Node: ins.Node}},
+			Sources: []Source{{Name: "$" + ins.Name, Pos: ins.Pos()}},
+			Trace:   []Step{{Pos: ins.Pos(), Desc: "entry point $" + ins.Name, Node: ins.Node}},
 		}, em)
 		if em.eq(fr.act) {
 			regs[ins.Dst] = ev
@@ -780,13 +780,13 @@ func (fz *Fused) runInstrF(ins *ir.Instr, fr *fframe) {
 		regs[ins.Dst] = v
 	case ir.OpConcat:
 		v := fz.fmerge(fr.valF(ins.A), fr.valF(ins.B), fr.act)
-		regs[ins.Dst] = fz.withStep(v, fr.act, ins.Pos, "concatenation", ins.Node)
+		regs[ins.Dst] = fz.withStep(v, fr.act, ins.Pos(), "concatenation", ins.Node)
 	case ir.OpInterp:
 		var v fval
 		for _, r := range ins.Args {
 			v = fz.fmerge(v, fr.valF(r), fr.act)
 		}
-		regs[ins.Dst] = fz.withStep(v, fr.act, ins.Pos, "string interpolation", ins.Node)
+		regs[ins.Dst] = fz.withStep(v, fr.act, ins.Pos(), "string interpolation", ins.Node)
 	case ir.OpAssign:
 		rhs := fr.valF(ins.A)
 		var v fval
@@ -797,9 +797,9 @@ func (fz *Fused) runInstrF(ins *ir.Instr, fr *fframe) {
 			} else {
 				v = rhs
 			}
-			v = fz.withStep(v, fr.act, ins.Pos, "append assignment", ins.Node)
+			v = fz.withStep(v, fr.act, ins.Pos(), "append assignment", ins.Node)
 		case ir.AssignPlain:
-			v = fz.withStep(rhs, fr.act, ins.Pos, "assignment", ins.Node)
+			v = fz.withStep(rhs, fr.act, ins.Pos(), "assignment", ins.Node)
 		default:
 			v = fval{}
 		}
@@ -825,13 +825,13 @@ func (fz *Fused) runInstrF(ins *ir.Instr, fr *fframe) {
 		v := fr.valF(ins.A)
 		m := fz.fnSinkMaskFor(ins.Name).and(fr.act).and(v.mask)
 		m.forEach(func(l int) {
-			fz.lanes[l].checkPseudoSink(ins.Name, ins.Node, ins.Expr, v.get(l), ins.Pos)
+			fz.lanes[l].checkPseudoSink(ins.Name, ins.Node, ins.Expr, v.get(l), ins.Pos())
 		})
 	case ir.OpNamedSink:
 		v := fr.valF(ins.A)
 		m := fz.fnSinkMaskFor(ins.Name).and(fr.act).and(v.mask)
 		m.forEach(func(l int) {
-			fz.lanes[l].checkNamedSink(ins.Name, ins.Node, ins.Expr, v.get(l), -1, ins.Pos)
+			fz.lanes[l].checkNamedSink(ins.Name, ins.Node, ins.Expr, v.get(l), -1, ins.Pos())
 		})
 	case ir.OpReturn:
 		fr.ret = fz.fmerge(fr.ret, fr.valF(ins.A), fr.act)
@@ -863,8 +863,8 @@ func (fz *Fused) runIndexF(ins *ir.Instr, fr *fframe) fval {
 		src := fmt.Sprintf("$%s[%s]", ins.Name, ins.Key)
 		return fuseUniform(Value{
 			Tainted: true,
-			Sources: []Source{{Name: src, Pos: ins.Pos}},
-			Trace:   []Step{{Pos: ins.Pos, Desc: "entry point " + src, Node: ins.Node}},
+			Sources: []Source{{Name: src, Pos: ins.Pos()}},
+			Trace:   []Step{{Pos: ins.Pos(), Desc: "entry point " + src, Node: ins.Node}},
 		}, m)
 	}
 	if em.eq(act) {
@@ -1100,7 +1100,7 @@ func (fz *Fused) checkSinksF(m laneMask, name string, method bool, recv string, 
 			av[i] = a.get(l0)
 		}
 		p.forEach(func(l int) {
-			fz.lanes[l].checkCallSinks(name, method, recv, ins.Node, ins.ArgExprs, av, ins.Pos)
+			fz.lanes[l].checkCallSinks(name, method, recv, ins.Node, ins.ArgExprs(), av, ins.Pos())
 		})
 	}
 }
@@ -1125,8 +1125,8 @@ func (fz *Fused) runCallF(ins *ir.Instr, fr *fframe) fval {
 	if em := fz.epFnMaskFor(name).and(rem); !em.empty() {
 		b.addF(em, fuseUniform(Value{
 			Tainted: true,
-			Sources: []Source{{Name: name + "()", Pos: ins.Pos}},
-			Trace:   []Step{{Pos: ins.Pos, Desc: "entry point " + name + "()", Node: ins.Node}},
+			Sources: []Source{{Name: name + "()", Pos: ins.Pos()}},
+			Trace:   []Step{{Pos: ins.Pos(), Desc: "entry point " + name + "()", Node: ins.Node}},
 		}, em))
 		rem = rem.andNot(em)
 		if rem.empty() {
@@ -1138,19 +1138,19 @@ func (fz *Fused) runCallF(ins *ir.Instr, fr *fframe) fval {
 	}
 	if propagatesTaint(name) {
 		v := fz.fmergeAll(args, rem)
-		b.addF(rem, fz.withStep(v, rem, ins.Pos, name+"()", ins.Node))
+		b.addF(rem, fz.withStep(v, rem, ins.Pos(), name+"()", ins.Node))
 		return b.finish()
 	}
 	switch name {
 	case "preg_match", "preg_match_all":
-		if len(ins.ArgExprs) >= 3 && len(args) >= 2 {
-			fz.assignToF(ins.ArgExprs[2], args[1], e, rem)
+		if ax := ins.ArgExprs(); len(ax) >= 3 && len(args) >= 2 {
+			fz.assignToF(ax[2], args[1], e, rem)
 		}
 		b.addF(rem, fval{})
 		return b.finish()
 	case "parse_str":
-		if len(ins.ArgExprs) >= 2 && len(args) >= 1 {
-			fz.assignToF(ins.ArgExprs[1], args[0], e, rem)
+		if ax := ins.ArgExprs(); len(ax) >= 2 && len(args) >= 1 {
+			fz.assignToF(ax[1], args[0], e, rem)
 		}
 		b.addF(rem, fval{})
 		return b.finish()
@@ -1158,14 +1158,14 @@ func (fz *Fused) runCallF(ins *ir.Instr, fr *fframe) fval {
 		b.addF(rem, fval{})
 		return b.finish()
 	case "settype":
-		if len(ins.ArgExprs) >= 1 {
-			fz.assignToF(ins.ArgExprs[0], fval{}, e, rem)
+		if ax := ins.ArgExprs(); len(ax) >= 1 {
+			fz.assignToF(ax[0], fval{}, e, rem)
 		}
 		b.addF(rem, fval{})
 		return b.finish()
 	}
 	if fn := fz.resolveFuncF(name, rem); fn != nil && fn.Body != nil && !fz.disableInlining {
-		b.addF(rem, fz.inlineF(fn, ins.ArgExprs, args, ins.Pos, e, rem))
+		b.addF(rem, fz.inlineF(fn, ins.ArgExprs(), args, ins.Pos(), e, rem))
 		return b.finish()
 	}
 	b.addF(rem, fval{})
@@ -1195,7 +1195,7 @@ func (fz *Fused) runMethodCallF(ins *ir.Instr, fr *fframe) fval {
 		fz.checkSinksF(km, name, true, ins.Key, ins, args)
 	}
 	if m := fz.resolveMethodF(name, rem); m != nil && m.Body != nil && !fz.disableInlining {
-		b.addF(rem, fz.inlineF(m, ins.ArgExprs, args, ins.Pos, fr.env, rem))
+		b.addF(rem, fz.inlineF(m, ins.ArgExprs(), args, ins.Pos(), fr.env, rem))
 		return b.finish()
 	}
 	b.addF(rem, fz.fmerge(recv, fz.fmergeAll(args, rem), rem))
@@ -1226,7 +1226,7 @@ func (fz *Fused) runStaticCallF(ins *ir.Instr, fr *fframe) fval {
 	// Like the scalar engines, resolved static methods inline regardless of
 	// the DisableInlining ablation.
 	if m := fz.resolveStaticF(ins.Key, ins.Name, rem); m != nil && m.Body != nil {
-		b.addF(rem, fz.inlineF(m, ins.ArgExprs, args, ins.Pos, fr.env, rem))
+		b.addF(rem, fz.inlineF(m, ins.ArgExprs(), args, ins.Pos(), fr.env, rem))
 		return b.finish()
 	}
 	b.addF(rem, fz.fmergeAll(args, rem))

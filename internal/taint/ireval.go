@@ -314,8 +314,8 @@ func (a *Analyzer) runInstr(ins *ir.Instr, fr *irFrame, p *irProvider) {
 		if a.isEntryPointVar(ins.Name) {
 			fr.regs[ins.Dst] = Value{
 				Tainted: true,
-				Sources: []Source{{Name: "$" + ins.Name, Pos: ins.Pos}},
-				Trace:   []Step{{Pos: ins.Pos, Desc: "entry point $" + ins.Name, Node: ins.Node}},
+				Sources: []Source{{Name: "$" + ins.Name, Pos: ins.Pos()}},
+				Trace:   []Step{{Pos: ins.Pos(), Desc: "entry point $" + ins.Name, Node: ins.Node}},
 			}
 		} else {
 			fr.regs[ins.Dst] = e.get(ins.Name)
@@ -333,7 +333,7 @@ func (a *Analyzer) runInstr(ins *ir.Instr, fr *irFrame, p *irProvider) {
 	case ir.OpConcat:
 		v := fr.val(ins.A).merge(fr.val(ins.B))
 		if v.Tainted {
-			v.Trace = append(v.Trace, Step{Pos: ins.Pos, Desc: "concatenation", Node: ins.Node})
+			v.Trace = append(v.Trace, Step{Pos: ins.Pos(), Desc: "concatenation", Node: ins.Node})
 		}
 		fr.regs[ins.Dst] = v
 	case ir.OpInterp:
@@ -342,7 +342,7 @@ func (a *Analyzer) runInstr(ins *ir.Instr, fr *irFrame, p *irProvider) {
 			v = v.merge(fr.val(r))
 		}
 		if v.Tainted {
-			v.Trace = append(v.Trace, Step{Pos: ins.Pos, Desc: "string interpolation", Node: ins.Node})
+			v.Trace = append(v.Trace, Step{Pos: ins.Pos(), Desc: "string interpolation", Node: ins.Node})
 		}
 		fr.regs[ins.Dst] = v
 	case ir.OpAssign:
@@ -356,12 +356,12 @@ func (a *Analyzer) runInstr(ins *ir.Instr, fr *irFrame, p *irProvider) {
 				v = rhs
 			}
 			if v.Tainted {
-				v.Trace = append(v.Trace, Step{Pos: ins.Pos, Desc: "append assignment", Node: ins.Node})
+				v.Trace = append(v.Trace, Step{Pos: ins.Pos(), Desc: "append assignment", Node: ins.Node})
 			}
 		case ir.AssignPlain:
 			v = rhs
 			if v.Tainted {
-				v.Trace = append(v.Trace, Step{Pos: ins.Pos, Desc: "assignment", Node: ins.Node})
+				v.Trace = append(v.Trace, Step{Pos: ins.Pos(), Desc: "assignment", Node: ins.Node})
 			}
 		default:
 			v = clean()
@@ -385,9 +385,9 @@ func (a *Analyzer) runInstr(ins *ir.Instr, fr *irFrame, p *irProvider) {
 	case ir.OpClosure:
 		a.runClosure(ins, fr, p)
 	case ir.OpPseudoSink:
-		a.checkPseudoSink(ins.Name, ins.Node, ins.Expr, fr.val(ins.A), ins.Pos)
+		a.checkPseudoSink(ins.Name, ins.Node, ins.Expr, fr.val(ins.A), ins.Pos())
 	case ir.OpNamedSink:
-		a.checkNamedSink(ins.Name, ins.Node, ins.Expr, fr.val(ins.A), -1, ins.Pos)
+		a.checkNamedSink(ins.Name, ins.Node, ins.Expr, fr.val(ins.A), -1, ins.Pos())
 	case ir.OpReturn:
 		fr.ret = fr.ret.merge(fr.val(ins.A))
 	}
@@ -407,8 +407,8 @@ func (a *Analyzer) runIndex(ins *ir.Instr, fr *irFrame, p *irProvider) Value {
 		src := fmt.Sprintf("$%s[%s]", ins.Name, ins.Key)
 		return Value{
 			Tainted: true,
-			Sources: []Source{{Name: src, Pos: ins.Pos}},
-			Trace:   []Step{{Pos: ins.Pos, Desc: "entry point " + src, Node: ins.Node}},
+			Sources: []Source{{Name: src, Pos: ins.Pos()}},
+			Trace:   []Step{{Pos: ins.Pos(), Desc: "entry point " + src, Node: ins.Node}},
 		}
 	}
 	v := a.runBlockValue(ins.XBlk, fr, p)
@@ -468,39 +468,39 @@ func (a *Analyzer) runCall(ins *ir.Instr, fr *irFrame, p *irProvider) Value {
 	if a.class.IsEntryPointFunc(name) {
 		return Value{
 			Tainted: true,
-			Sources: []Source{{Name: name + "()", Pos: ins.Pos}},
-			Trace:   []Step{{Pos: ins.Pos, Desc: "entry point " + name + "()", Node: ins.Node}},
+			Sources: []Source{{Name: name + "()", Pos: ins.Pos()}},
+			Trace:   []Step{{Pos: ins.Pos(), Desc: "entry point " + name + "()", Node: ins.Node}},
 		}
 	}
-	a.checkCallSinks(name, false, "", ins.Node, ins.ArgExprs, args, ins.Pos)
+	a.checkCallSinks(name, false, "", ins.Node, ins.ArgExprs(), args, ins.Pos())
 	if propagatesTaint(name) {
 		v := mergeAll(args)
 		if v.Tainted {
-			v.Trace = append(v.Trace, Step{Pos: ins.Pos, Desc: name + "()", Node: ins.Node})
+			v.Trace = append(v.Trace, Step{Pos: ins.Pos(), Desc: name + "()", Node: ins.Node})
 		}
 		return v
 	}
 	switch name {
 	case "preg_match", "preg_match_all":
-		if len(ins.ArgExprs) >= 3 && len(args) >= 2 {
-			a.assignTo(ins.ArgExprs[2], args[1], e)
+		if ax := ins.ArgExprs(); len(ax) >= 3 && len(args) >= 2 {
+			a.assignTo(ax[2], args[1], e)
 		}
 		return clean()
 	case "parse_str":
-		if len(ins.ArgExprs) >= 2 && len(args) >= 1 {
-			a.assignTo(ins.ArgExprs[1], args[0], e)
+		if ax := ins.ArgExprs(); len(ax) >= 2 && len(args) >= 1 {
+			a.assignTo(ax[1], args[0], e)
 		}
 		return clean()
 	case "extract":
 		return clean()
 	case "settype":
-		if len(ins.ArgExprs) >= 1 {
-			a.assignTo(ins.ArgExprs[0], clean(), e)
+		if ax := ins.ArgExprs(); len(ax) >= 1 {
+			a.assignTo(ax[0], clean(), e)
 		}
 		return clean()
 	}
 	if fn := a.resolveFunc(name); fn != nil && fn.Body != nil && !a.cfg.DisableInlining {
-		return a.inlineCallIR(fn, ins.ArgExprs, args, ins.Pos, e, p)
+		return a.inlineCallIR(fn, ins.ArgExprs(), args, ins.Pos(), e, p)
 	}
 	return clean()
 }
@@ -517,9 +517,9 @@ func (a *Analyzer) runMethodCall(ins *ir.Instr, fr *irFrame, p *irProvider) Valu
 		v.Sanitizers = append(v.Sanitizers, name)
 		return v
 	}
-	a.checkCallSinks(name, true, ins.Key, ins.Node, ins.ArgExprs, args, ins.Pos)
+	a.checkCallSinks(name, true, ins.Key, ins.Node, ins.ArgExprs(), args, ins.Pos())
 	if m := a.resolveMethod(name); m != nil && m.Body != nil && !a.cfg.DisableInlining {
-		return a.inlineCallIR(m, ins.ArgExprs, args, ins.Pos, fr.env, p)
+		return a.inlineCallIR(m, ins.ArgExprs(), args, ins.Pos(), fr.env, p)
 	}
 	return recv.merge(mergeAll(args))
 }
@@ -535,11 +535,11 @@ func (a *Analyzer) runStaticCall(ins *ir.Instr, fr *irFrame, p *irProvider) Valu
 		v.Sanitizers = append(v.Sanitizers, name)
 		return v
 	}
-	a.checkCallSinks(name, true, strings.ToLower(ins.Key), ins.Node, ins.ArgExprs, args, ins.Pos)
+	a.checkCallSinks(name, true, strings.ToLower(ins.Key), ins.Node, ins.ArgExprs(), args, ins.Pos())
 	// The walker inlines resolved static methods regardless of the
 	// DisableInlining ablation; preserve that quirk.
 	if m := a.resolveStaticMethod(ins.Key, ins.Name); m != nil && m.Body != nil {
-		return a.inlineCallIR(m, ins.ArgExprs, args, ins.Pos, fr.env, p)
+		return a.inlineCallIR(m, ins.ArgExprs(), args, ins.Pos(), fr.env, p)
 	}
 	return mergeAll(args)
 }
