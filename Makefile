@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint bench bench-compare bench-smoke wapd serve fuzz-smoke chaos chaos-backend weapons-gate ir-diff fuse-diff perfbench-test
+.PHONY: all build test race vet lint bench bench-compare bench-smoke wapd serve fuzz-smoke chaos chaos-backend weapons-gate golden perfbench-test
 
 all: build vet test
 
@@ -89,25 +89,19 @@ bench-compare:
 bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime=1x .
 
-# Differential harness for the IR taint engine: every corpus app (web suite,
-# micro suite, weapon dry-run proof apps, branch-sensitivity proofs) scanned
-# by the legacy AST walker and the IR engine at parallelism 1 and 3 under
-# the race detector. Reports must be byte-identical except for the precision
-# wins enumerated in internal/core/testdata/ir_golden_deltas.json. Mirrors
-# the CI ir-diff job.
-ir-diff:
-	$(GO) test -race -count=1 ./internal/core/ -run 'TestIRDifferential'
-	$(GO) test -race -count=1 ./internal/taint/ -run 'TestIR'
-
-# Differential harness for fused scheduling: every corpus app scanned with
-# fused multi-class evaluation (the default) and per-class execution
-# (DisableFusion), at parallelism 1 and 3 under the race detector, plus the
-# taint-level lane-equivalence and demotion fault-injection suites. Reports
-# must be byte-identical — fusion is pure scheduling, so there is no golden
-# delta file. Mirrors the CI fuse-diff job.
-fuse-diff:
+# The taint engine's oracles, under the race detector: every corpus app (web
+# suite, micro suite, branch-sanitizer proofs, weapon dry-run proof apps)
+# scanned at parallelism 1 and 3 and compared byte for byte with the golden
+# reports in internal/core/testdata/golden; the lane-property tests (an
+# N-lane pass equals N one-lane passes, budget sweep) and pinned candidate
+# lists in internal/taint; the multi-lane demotion fault-injection suite;
+# and a 30s smoke of the AST-to-IR lowering fuzzer. Mirrors the CI golden
+# job.
+golden:
+	$(GO) test -race -count=1 ./internal/core/ -run 'TestGoldenReports'
+	$(GO) test -race -count=1 ./internal/taint/ -run 'TestFused|TestOneLane|TestIR'
 	$(GO) test -race -count=1 ./internal/core/ -run 'TestFused'
-	$(GO) test -race -count=1 ./internal/taint/ -run 'TestFused'
+	$(GO) test ./internal/ir -run '^$$' -fuzz=FuzzLower -fuzztime=30s
 
 # The repository benchmark's own tests. perfbench is a nested module
 # (repro/perfbench), so the root `go test ./...` never reaches it. Mirrors

@@ -304,76 +304,28 @@ func BenchmarkAnalyzeApp(b *testing.B) {
 	}
 }
 
-// BenchmarkAnalyzeAppLegacy is BenchmarkAnalyzeApp on the legacy AST-walking
-// taint engine (DisableIR). The IR engine's acceptance gate lives in
-// benchtrend -compare: a multi-class scan on the IR engine must not be
-// slower than this baseline.
-func BenchmarkAnalyzeAppLegacy(b *testing.B) {
-	app := benchApp()
-	eng, err := core.New(core.Options{Mode: core.ModeWAPe, Seed: 1, DisableIR: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.Train(); err != nil {
-		b.Fatal(err)
-	}
-	proj := core.LoadMap(app.Name, app.Files)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Analyze(proj); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkAnalyzeAppUncached is BenchmarkAnalyzeApp with the shared summary
 // cache and the sink pre-filter disabled — the PR-1 baseline. The ratio
 // between the two is the observable speedup of the caching layer; findings
 // are identical either way (TestFindingsIdenticalCacheOnOff in
 // internal/core).
 func BenchmarkAnalyzeAppUncached(b *testing.B) {
-	app := benchApp()
-	eng, err := core.New(core.Options{
-		Mode: core.ModeWAPe, Seed: 1,
-		DisableSummaryCache:  true,
-		DisableSinkPrefilter: true,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.Train(); err != nil {
-		b.Fatal(err)
-	}
-	proj := core.LoadMap(app.Name, app.Files)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Analyze(proj); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchAnalyzeUncached(b)
 }
 
-// BenchmarkAnalyzeAppUncachedFused / BenchmarkAnalyzeAppUncachedUnfused pin
-// the fused-scheduling speedup on the uncached scan: identical options except
-// DisableFusion, so the ratio is exactly the win of evaluating all weapon
-// classes in one IR traversal instead of one traversal per class. benchtrend
-// -compare gates on fused ≥2× unfused. Findings are byte-identical either
-// way (TestFusedDifferential in internal/core).
+// BenchmarkAnalyzeAppUncachedFused is the same uncached scan, kept under the
+// name its bench trajectory was recorded with (it once had a per-class
+// counterpart; every scan is fused now).
 func BenchmarkAnalyzeAppUncachedFused(b *testing.B) {
-	benchAnalyzeUncached(b, false)
+	benchAnalyzeUncached(b)
 }
 
-func BenchmarkAnalyzeAppUncachedUnfused(b *testing.B) {
-	benchAnalyzeUncached(b, true)
-}
-
-func benchAnalyzeUncached(b *testing.B, disableFusion bool) {
+func benchAnalyzeUncached(b *testing.B) {
 	app := benchApp()
 	eng, err := core.New(core.Options{
 		Mode: core.ModeWAPe, Seed: 1,
 		DisableSummaryCache:  true,
 		DisableSinkPrefilter: true,
-		DisableFusion:        disableFusion,
 	})
 	if err != nil {
 		b.Fatal(err)

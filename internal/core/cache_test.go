@@ -238,12 +238,12 @@ func TestTimedOutTaskCountsAsDispositioned(t *testing.T) {
 	e := newTestEngine(t, Options{
 		Parallelism:          1,
 		DisableSinkPrefilter: true,
-		// The watchdog accounting under test is per-task, i.e. the unfused
-		// path; a fused group's watchdog cut demotes instead of
+		// The watchdog accounting under test is per-task, i.e. one-lane
+		// passes: one class over four files gives four single-lane groups.
+		// A multi-lane group's watchdog cut demotes instead of
 		// dispositioning (fusedfault_test.go).
-		DisableFusion: true,
-		Classes:       []vuln.ClassID{vuln.XSSR, vuln.SQLI},
-		TaskTimeout:   20 * time.Millisecond,
+		Classes:     []vuln.ClassID{vuln.XSSR},
+		TaskTimeout: 20 * time.Millisecond,
 		TaskHook: func(string, vuln.ClassID) {
 			switch n.Add(1) {
 			case 1:
@@ -261,7 +261,12 @@ func TestTimedOutTaskCountsAsDispositioned(t *testing.T) {
 	if err := e.Train(); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := e.AnalyzeContext(ctx, twoFileProject())
+	rep, err := e.AnalyzeContext(ctx, LoadMap("fault", map[string]string{
+		"a.php": xssPage,
+		"b.php": sqliPage,
+		"c.php": xssPage,
+		"d.php": sqliPage,
+	}))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

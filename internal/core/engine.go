@@ -85,10 +85,11 @@ type Options struct {
 	// timeout diagnostic is recorded; the scan continues. 0 disables the
 	// watchdog.
 	TaskTimeout time.Duration
-	// TaskBudget bounds the AST-node steps one (file, class) task may spend
-	// in taint analysis, so runaway interprocedural walks degrade to
-	// conservative propagation instead of hanging. 0 uses DefaultTaskBudget;
-	// negative means unlimited.
+	// TaskBudget bounds the steps (IR instructions executed) one (file,
+	// class) task may spend in taint analysis, so a runaway interprocedural
+	// pass stops instead of hanging: its findings are the sound prefix found
+	// before the stop, and a budget-exhausted diagnostic is recorded. 0 uses
+	// DefaultTaskBudget; negative means unlimited.
 	TaskBudget int
 	// TaskHook, when set, runs at the start of every (file, class) task in
 	// the task's own goroutine. It exists for fault injection (chaos
@@ -97,9 +98,8 @@ type Options struct {
 	TaskHook func(file string, class vuln.ClassID)
 	// RetryMax is how many times a faulted task (panic, watchdog timeout,
 	// budget exhaustion) is retried before its fault becomes terminal. Each
-	// retry halves the AST-step budget (so a stalled walk degrades to
-	// conservative propagation instead of timing out again) and sleeps a
-	// jittered exponential backoff first. 0 disables the ladder. On a
+	// retry halves the step budget (so a stalled pass stops early instead of
+	// timing out again) and sleeps a jittered exponential backoff first. 0 disables the ladder. On a
 	// fault-free corpus findings are byte-identical at any RetryMax.
 	RetryMax int
 	// RetryBackoff is the base backoff before the first retry; it doubles
@@ -124,23 +124,6 @@ type Options struct {
 	// (file, class) tasks provably unable to produce findings. Findings are
 	// identical either way.
 	DisableSinkPrefilter bool
-	// DisableIR falls back to the legacy AST-walking taint engine instead of
-	// the CFG-based IR engine. The IR engine lowers each file once, shares
-	// the result read-only across all weapon-class tasks, and applies
-	// function summaries as transfer functions at call edges; its findings
-	// match the walker's except for documented precision wins (a sanitizer
-	// dominating every arm of an exhaustive switch kills the flow). The
-	// switch exists for benchmarking and for the differential harness that
-	// pins the equivalence.
-	DisableIR bool
-	// DisableFusion turns off fused scheduling: with it set, every (file,
-	// class) task runs its own IR traversal instead of all runnable classes
-	// of a file sharing one multi-class pass. Findings are byte-identical
-	// either way (a fused pass is pinned to per-class execution by the
-	// fuse-diff harness); the switch exists for benchmarking and for the
-	// differential tests that prove it. Fusion requires the IR engine, so
-	// DisableIR implies it.
-	DisableFusion bool
 	// ResultStore, when set, makes every scan incremental: cleanly completed
 	// (file, class) tasks are persisted keyed by closure fingerprint, and
 	// later scans reuse stored results for tasks whose fingerprints match.
@@ -157,7 +140,7 @@ type Options struct {
 	WeaponSetRevision int64
 }
 
-// DefaultTaskBudget is the per-task AST-step budget applied when
+// DefaultTaskBudget is the per-task step budget applied when
 // Options.TaskBudget is zero. Typical files spend well under 10^5 steps;
 // only pathological inputs (exponential loop nesting, huge generated files)
 // come near it.
@@ -169,7 +152,7 @@ const DefaultRetryBackoff = 50 * time.Millisecond
 
 const (
 	// minRetryBudget floors the shrinking retry budget so a retried task
-	// can still make progress before degrading conservatively.
+	// can still make progress before it stops.
 	minRetryBudget = 4096
 	// maxRetryBackoff caps the exponential backoff between attempts.
 	maxRetryBackoff = 2 * time.Second
@@ -203,7 +186,7 @@ type Report struct {
 	// NOT listed here; an empty slice means full coverage.
 	Diagnostics []Diagnostic
 	// Stats is the scan's performance account: tasks executed and skipped,
-	// AST steps, shared-cache traffic and per-class wall time. It describes
+	// steps, shared-cache traffic and per-class wall time. It describes
 	// the work performed, never the findings (which are cache-independent),
 	// and is schedule-dependent, so comparisons should exclude it.
 	Stats *ScanStats
@@ -488,7 +471,7 @@ type taskOutcome struct {
 	cacheMisses int
 	// transfers counts summary transfer-function applications (memoized or
 	// shared summaries applied at a call edge instead of re-running the
-	// callee body). Always zero on the legacy walker path.
+	// callee body).
 	transfers int
 	pending   []taint.PendingSummary
 }
@@ -504,9 +487,9 @@ type taskOutcome struct {
 //     panic diagnostic;
 //   - Options.TaskTimeout bounds each task's wall time via a watchdog; a
 //     stalled task is abandoned and recorded as a timeout diagnostic;
-//   - Options.TaskBudget bounds each task's AST-step count; a runaway walk
-//     degrades to conservative propagation and is recorded as a
-//     budget-exhausted diagnostic;
+//   - Options.TaskBudget bounds each task's step count; a runaway pass
+//     stops, keeps the findings it proved before the stop, and is recorded
+//     as a budget-exhausted diagnostic;
 //   - ctx cancellation stops the scan between tasks (and interrupts running
 //     tasks cooperatively); AnalyzeContext then returns the partial report
 //     alongside ctx's error;
@@ -611,7 +594,7 @@ type execState struct {
 	// attempt is deliberately excluded: a task that needed retries faulted
 	// under this exact input, so it re-executes next scan too.
 	clean []bool
-	// steps is the AST-step count of task i's clean first attempt, persisted
+	// steps is the step count of task i's clean first attempt, persisted
 	// so later scans can account the work a reuse saves.
 	steps     []int
 	taskDiags []Diagnostic
@@ -670,7 +653,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 					outc <- taskOutcome{panicVal: fmt.Sprint(r), stack: string(debug.Stack())}
 				}
 			}()
-			outc <- e.runTask(t, p, stop, attemptBudget, shared, sx)
+			outc <- e.runPass([]task{t}, p, stop, attemptBudget, shared, sx)[0]
 		}()
 
 		var timeoutC <-chan time.Time
@@ -740,7 +723,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 				return
 			}
 			if out.stopped {
-				// Cooperative stop observed inside the walker: treated as
+				// Cooperative stop observed inside the pass: treated as
 				// cancellation, never retried, never charged to the breaker.
 				completed.Add(1)
 				stats.recordTask(t.cls.ID, out, elapsed)
@@ -767,7 +750,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 				msg = "analysis panicked: " + out.panicVal
 			case out.exhausted:
 				fault = DiagBudget
-				msg = fmt.Sprintf("AST-step budget of %d exhausted; taint walk degraded to conservative propagation", attemptBudget)
+				msg = fmt.Sprintf("step budget of %d IR instructions exhausted; taint pass stopped, findings before the stop kept", attemptBudget)
 				if bestPartial == nil {
 					bestPartial = out.findings // first attempt has the largest budget
 				}
@@ -837,13 +820,15 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 		}
 	}
 
-	// execGroup dispositions one fused group: every runnable class lane of a
-	// file evaluated in a single multi-class IR pass. Lanes whose breaker is
-	// open are dispositioned here exactly as execTask would; a clean fused
-	// pass gives each surviving lane execTask's first-attempt-completion
-	// disposition; any fault inside the pass (panic, watchdog deadline, a
-	// lane's step budget) demotes every lane to the unfused per-class ladder,
-	// which owns fault isolation, retries and breaker attribution from there.
+	// execGroup dispositions one file's group: every runnable class lane of
+	// the file evaluated in a single multi-lane pass. A singleton group is
+	// one lane and goes straight to execTask's ladder. Lanes whose breaker
+	// is open are dispositioned here exactly as execTask would; a clean
+	// multi-lane pass gives each surviving lane execTask's
+	// first-attempt-completion disposition; any fault inside the pass
+	// (panic, watchdog deadline, a lane's step budget) demotes every lane
+	// to execTask's ladder of one-lane passes, which owns fault isolation,
+	// retries and breaker attribution from there.
 	execGroup := func(idxs []int) {
 		if len(idxs) == 1 {
 			execTask(idxs[0])
@@ -883,7 +868,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 		}
 		if len(lanes) < 2 {
 			// Not enough survivors to fuse. The probe slot is handed back
-			// first: the unfused path re-runs its own breaker admission.
+			// first: execTask re-runs its own breaker admission.
 			releaseProbes()
 			for _, l := range lanes {
 				execTask(l.idx)
@@ -895,25 +880,20 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 		for k, l := range lanes {
 			ts[k] = tasks[l.idx]
 		}
-		// The fused attempt runs in its own goroutine under the same
+		// The multi-lane attempt runs in its own goroutine under the same
 		// containment as runAttempt: a panic is recovered there, the
 		// watchdog can abandon it, and an abandoned attempt reports into a
-		// buffered channel it owns.
-		type fusedResult struct {
-			outs []taskOutcome
-			ok   bool
-		}
+		// buffered channel it owns. A nil result means the pass faulted.
 		stop := new(atomic.Bool)
 		groupStart := time.Now()
-		outc := make(chan fusedResult, 1)
+		outc := make(chan []taskOutcome, 1)
 		go func() {
 			defer func() {
 				if r := recover(); r != nil {
-					outc <- fusedResult{}
+					outc <- nil
 				}
 			}()
-			outs, ok := e.runFusedTasks(ts, p, stop, budget, shared, sx)
-			outc <- fusedResult{outs: outs, ok: ok}
+			outc <- e.runPass(ts, p, stop, budget, shared, sx)
 		}()
 		var timeoutC <-chan time.Time
 		if e.opts.TaskTimeout > 0 {
@@ -921,24 +901,24 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 			defer timer.Stop()
 			timeoutC = timer.C
 		}
-		var res fusedResult
+		var outs []taskOutcome
 		select {
-		case res = <-outc:
+		case outs = <-outc:
 		case <-timeoutC:
 			stop.Store(true)
 		case <-ctx.Done():
 			// Scan-level cancellation: the group stays undispositioned (the
 			// scan-level diagnostic accounts for it) and unused probe slots
-			// are handed back, like an interrupted unfused attempt.
+			// are handed back, like an interrupted one-lane attempt.
 			stop.Store(true)
 			releaseProbes()
 			return
 		}
-		if !res.ok {
-			// Fault inside the fused pass. Per-lane dispositions, findings,
-			// diagnostics and breaker charges all come from the unfused
-			// reruns; the fused attempt leaves no trace beyond the demotion
-			// counter.
+		if outs == nil {
+			// Fault inside the multi-lane pass. Per-lane dispositions,
+			// findings, diagnostics and breaker charges all come from the
+			// one-lane reruns; the faulted pass leaves no trace beyond the
+			// demotion counter.
 			stats.recordFusedDemotion(len(lanes))
 			releaseProbes()
 			for _, l := range lanes {
@@ -949,14 +929,14 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 			}
 			return
 		}
-		// Clean fused pass: each lane gets execTask's first-attempt
+		// Clean multi-lane pass: each lane gets execTask's first-attempt
 		// completion disposition. The group's wall time is split evenly
 		// across lanes (per-class wall is schedule-dependent accounting
 		// either way).
 		wall := time.Since(groupStart) / time.Duration(len(lanes))
 		stats.recordFusedPass(len(lanes))
 		for k, l := range lanes {
-			i, out := l.idx, res.outs[k]
+			i, out := l.idx, outs[k]
 			t := tasks[i]
 			completed.Add(1)
 			stats.recordTask(t.cls.ID, out, wall)
@@ -971,16 +951,10 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 		}
 	}
 
-	// Fused scheduling claims file groups (planScan emits the execution
-	// queue file-major, so a group is a consecutive run of queue entries);
-	// unfused scheduling claims individual queue positions.
-	useFusion := !e.opts.DisableFusion && !e.opts.DisableIR
-	var groups [][]int
-	nUnits := len(plan.execIdx)
-	if useFusion {
-		groups = fuseGroups(plan)
-		nUnits = len(groups)
-	}
+	// Workers claim file groups (planScan emits the execution queue
+	// file-major, so a group is a consecutive run of queue entries).
+	groups := fuseGroups(plan)
+	nUnits := len(groups)
 	workers := e.opts.Parallelism
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -991,10 +965,9 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 	if workers > nUnits && nUnits > 0 {
 		workers = nUnits
 	}
-	// Workers claim execution-queue positions from an atomic counter (not an
-	// unbuffered feed channel), so there is no send loop that cancellation
-	// could leave blocked, and task order — hence output order — stays
-	// deterministic.
+	// Workers claim groups from an atomic counter (not an unbuffered feed
+	// channel), so there is no send loop that cancellation could leave
+	// blocked, and task order — hence output order — stays deterministic.
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -1005,11 +978,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 				if n >= nUnits {
 					return
 				}
-				if useFusion {
-					execGroup(groups[n])
-				} else {
-					execTask(plan.execIdx[n])
-				}
+				execGroup(groups[n])
 			}
 		}()
 	}
@@ -1028,7 +997,7 @@ func (e *Engine) mergeScan(ctx context.Context, plan *scanPlan, exec *execState,
 	sortDiagnostics(exec.taskDiags)
 	rep.Diagnostics = append(rep.Diagnostics, exec.taskDiags...)
 	var irc *ir.Cache
-	if !e.opts.DisableIR && rep.Project != nil {
+	if rep.Project != nil {
 		irc = rep.Project.IRCache()
 	}
 	rep.Stats = stats.snapshot(exec.shared.Len(), irc)
@@ -1084,9 +1053,9 @@ func (e *Engine) mergeScan(ctx context.Context, plan *scanPlan, exec *execState,
 	return rep, nil
 }
 
-// shrinkBudget halves the AST-step budget for the next retry attempt, so a
-// retried task fails faster (and degrades to conservative propagation
-// sooner) than the attempt that faulted. An unlimited budget (0) retries
+// shrinkBudget halves the step budget for the next retry attempt, so a
+// retried task fails faster (and stops sooner) than the attempt that
+// faulted. An unlimited budget (0) retries
 // bounded at the default.
 func shrinkBudget(b int) int {
 	if b <= 0 {
@@ -1137,60 +1106,6 @@ func plural(n int, one, many string) string {
 		return one
 	}
 	return many
-}
-
-// runTask performs one (file, class) analysis. It runs inside the task's
-// goroutine: everything it touches besides the engine's read-only state is
-// task-local, so an abandoned (timed-out) invocation cannot race a live
-// scan.
-func (e *Engine) runTask(t task, p *Project, stop *atomic.Bool, budget int, shared *taint.SharedSummaries, sx *symptom.Scan) taskOutcome {
-	if e.opts.TaskHook != nil {
-		e.opts.TaskHook(t.file.Path, t.cls.ID)
-	}
-	// The tool's own fix for the class counts as a sanitizer so corrected
-	// code is not re-flagged.
-	sans := append([]string(nil), e.opts.ExtraSanitizers...)
-	if fixID := e.fixIDFor(t.cls); fixID != "" {
-		sans = append(sans, fixID)
-	}
-	sans = append(sans, e.opts.ClassSanitizers[t.cls.ID]...)
-	an := taint.New(taint.Config{
-		Class:            t.cls,
-		Resolver:         p,
-		ExtraSanitizers:  sans,
-		ExtraEntryPoints: e.opts.ExtraEntryPoints,
-		ExtraSinks:       e.opts.ClassSinks[t.cls.ID],
-		MaxSteps:         budget,
-		Stop:             stop,
-		Shared:           shared,
-	})
-	var cands []*taint.Candidate
-	if e.opts.DisableIR {
-		cands = an.File(t.file.AST)
-	} else {
-		// The lowered form is built once per file by the scan-scoped cache
-		// and shared read-only across every weapon-class task.
-		cache := p.IRCache()
-		cands = an.FileIR(t.file.AST, cache.File(t.file.AST), cache)
-	}
-	var out taskOutcome
-	for _, cand := range cands {
-		f := &Finding{Candidate: cand}
-		if w, ok := e.weapons[cand.Class]; ok {
-			f.Weapon = string(w.Class.ID)
-		}
-		f.Symptoms = sx.Extract(cand, t.file.AST)
-		f.PredictedFP, f.Votes = e.predict(f.Symptoms)
-		out.findings = append(out.findings, f)
-	}
-	out.exhausted = an.Exhausted()
-	out.stopped = an.Stopped()
-	out.steps = an.Steps()
-	out.cacheHits = an.SharedHits()
-	out.cacheMisses = an.SharedMisses()
-	out.transfers = an.TransferHits()
-	out.pending = an.PendingShared()
-	return out
 }
 
 // linkStoredXSS runs the two-phase stored-XSS linker over the report's

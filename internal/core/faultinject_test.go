@@ -193,13 +193,11 @@ func TestStalledTaskIsCutOffAtDeadline(t *testing.T) {
 	}
 }
 
-// TestBudgetExhaustionDegradesConservatively gives tasks a tiny AST-step
+// TestBudgetExhaustionDegradesConservatively gives tasks a tiny step
 // budget and asserts analysis completes with budget-exhausted diagnostics
 // instead of hanging or crashing.
 func TestBudgetExhaustionDegradesConservatively(t *testing.T) {
-	// Budget 2 exhausts under both step granularities: the sqli page costs
-	// ~10 AST-node steps on the walker and 3 IR-instruction steps on the IR
-	// engine.
+	// Budget 2 exhausts: the sqli page costs 3 IR-instruction steps.
 	e := newTestEngine(t, Options{
 		Classes:    []vuln.ClassID{vuln.SQLI},
 		TaskBudget: 2,
@@ -219,9 +217,9 @@ func TestBudgetExhaustionDegradesConservatively(t *testing.T) {
 	}
 }
 
-// TestRunawayLoopNestingIsBounded builds the walker's worst case — loop
-// bodies are traversed twice per nesting level, so N nested loops cost
-// 2^N visits — and asserts the default budget turns the would-be hang into
+// TestRunawayLoopNestingIsBounded builds the evaluator's worst case — loop
+// bodies are evaluated twice per nesting level, so N nested loops cost
+// 2^N steps — and asserts the default budget turns the would-be hang into
 // a budget-exhausted diagnostic in bounded time.
 func TestRunawayLoopNestingIsBounded(t *testing.T) {
 	depth := 26 // 2^26 visits ≫ DefaultTaskBudget

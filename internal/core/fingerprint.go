@@ -22,7 +22,7 @@ import (
 // configDigest hashes every engine input that can influence findings: mode,
 // class set (sinks, sanitizers, entry points, fix IDs), weapons with their
 // fixes and dynamic symptoms, user-supplied sanitizers/entry points/sinks,
-// the effective AST-step budget, and the trained model's inputs (seed,
+// the effective step budget, and the trained model's inputs (seed,
 // training size, ARFF content). Scheduling knobs (parallelism, timeouts,
 // retries, breakers) are deliberately excluded: they never change what a
 // cleanly completed task finds, only whether and when it runs.
@@ -72,14 +72,10 @@ func (e *Engine) configDigest() string {
 		if e.opts.WeaponSetRevision != 0 {
 			put("weapon-rev=%d", e.opts.WeaponSetRevision)
 		}
-		// The IR engine's lowering revision: bumping ir.Revision (a semantics
-		// change in the lowering) rotates every fingerprint, so incremental
-		// stores filled under older lowering rules self-invalidate. Skipped
-		// when the IR engine is off — legacy-engine findings are unaffected
-		// by lowering semantics, and the skip keeps pre-IR digests stable.
-		if !e.opts.DisableIR {
-			put("ir-rev=%d", ir.Revision)
-		}
+		// The lowering revision: bumping ir.Revision (a semantics change in
+		// the lowering) rotates every fingerprint, so incremental stores
+		// filled under older lowering rules self-invalidate.
+		put("ir-rev=%d", ir.Revision)
 		e.digestVal = hex.EncodeToString(h.Sum(nil))
 	})
 	return e.digestVal

@@ -7,14 +7,14 @@ import (
 	"repro/internal/taint"
 )
 
-// Fused scheduling: the execute stage groups the (file, class) tasks that
-// actually need execution — not breaker-open, not killed by the sink
-// pre-filter, not warm in the result store — into one fused task per file,
-// and evaluates every class lane in a single IR traversal. Results are split
-// back to per-(file, class) granularity, so everything downstream (closure
-// fingerprints, result-store entries, the retry ladder, per-class breakers,
-// diagnostics) keeps its existing shape; a fault inside a fused pass demotes
-// only that file's classes to the unfused per-class path.
+// Scheduling: the execute stage groups the (file, class) tasks that actually
+// need execution — not breaker-open, not killed by the sink pre-filter, not
+// warm in the result store — by file, and evaluates every class lane of a
+// group in a single fused IR pass. Results are split back to per-(file,
+// class) granularity, so everything downstream (closure fingerprints,
+// result-store entries, the retry ladder, per-class breakers, diagnostics)
+// keeps its existing shape. A single task is a one-lane pass; a fault inside
+// a multi-lane pass demotes only that file's classes to one-lane passes.
 
 // fuseGroups slices the plan's execution queue into runs of consecutive
 // entries sharing a file. planScan emits the queue file-major, so a linear
@@ -34,19 +34,23 @@ func fuseGroups(plan *scanPlan) [][]int {
 	return groups
 }
 
-// runFusedTasks performs one fused multi-class analysis: every class lane in
-// ts (all tasks of one file) evaluated by a single IR traversal. Per lane it
-// mirrors runTask exactly — same task hook, same analyzer config, same
-// outcome assembly — so a clean fused pass is indistinguishable from len(ts)
-// clean unfused first attempts. ok=false means the pass aborted (a lane's
-// step budget, or the cooperative stop): lane state is then meaningless and
-// the caller demotes the whole group to unfused execution.
-func (e *Engine) runFusedTasks(ts []task, p *Project, stop *atomic.Bool, budget int, shared *taint.SharedSummaries, sx *symptom.Scan) ([]taskOutcome, bool) {
+// runPass evaluates ts (tasks of one file) as the lanes of one fused pass
+// and assembles one outcome per lane: findings with symptoms and the FP
+// prediction, step and cache accounting, and pending shared summaries.
+//
+// A one-lane pass always yields its outcome; when the pass stopped early it
+// carries exhausted or stopped, and its findings are the sound prefix the
+// pass proved before stopping. A multi-lane pass that stops early returns
+// nil: the other lanes were cut off too, so the caller demotes the group to
+// one-lane passes.
+func (e *Engine) runPass(ts []task, p *Project, stop *atomic.Bool, budget int, shared *taint.SharedSummaries, sx *symptom.Scan) []taskOutcome {
 	cfgs := make([]taint.Config, len(ts))
 	for k, t := range ts {
 		if e.opts.TaskHook != nil {
 			e.opts.TaskHook(t.file.Path, t.cls.ID)
 		}
+		// The tool's own fix for the class counts as a sanitizer so
+		// corrected code is not re-flagged.
 		sans := append([]string(nil), e.opts.ExtraSanitizers...)
 		if fixID := e.fixIDFor(t.cls); fixID != "" {
 			sans = append(sans, fixID)
@@ -65,27 +69,31 @@ func (e *Engine) runFusedTasks(ts []task, p *Project, stop *atomic.Bool, budget 
 	}
 	fz := taint.NewFused(cfgs)
 	file := ts[0].file
+	// The lowered form is built once per file by the scan-scoped cache and
+	// shared read-only across every pass that touches the file.
 	cache := p.IRCache()
-	if !fz.FileIR(file.AST, cache.File(file.AST), cache) {
-		return nil, false
+	if !fz.FileIR(file.AST, cache.File(file.AST), cache) && len(ts) > 1 {
+		return nil
 	}
 	outs := make([]taskOutcome, len(ts))
-	for k, t := range ts {
+	for k := range ts {
 		out := &outs[k]
 		for _, cand := range fz.Candidates(k) {
 			f := &Finding{Candidate: cand}
 			if w, ok := e.weapons[cand.Class]; ok {
 				f.Weapon = string(w.Class.ID)
 			}
-			f.Symptoms = sx.Extract(cand, t.file.AST)
+			f.Symptoms = sx.Extract(cand, file.AST)
 			f.PredictedFP, f.Votes = e.predict(f.Symptoms)
 			out.findings = append(out.findings, f)
 		}
+		out.exhausted = fz.Exhausted(k)
+		out.stopped = fz.Stopped(k)
 		out.steps = fz.Steps(k)
 		out.cacheHits = fz.SharedHits(k)
 		out.cacheMisses = fz.SharedMisses(k)
 		out.transfers = fz.TransferHits(k)
 		out.pending = fz.PendingShared(k)
 	}
-	return outs, true
+	return outs
 }

@@ -1,12 +1,12 @@
 package core
 
-// Fault injection into fused multi-class passes, on the same TaskHook
-// harness as faultinject_test.go. The demotion contract pinned here: a
-// panic or stall inside a fused pass demotes that file's classes to the
-// unfused per-class path with no lost or duplicated findings, transient
-// faults are absorbed by the demotion (the rerun's fresh retry ladder, not
-// the fused attempt, decides terminality), and breaker charges land on the
-// faulting class only — never on innocent lanes of the same fused group.
+// Fault injection into multi-lane fused passes, on the same TaskHook harness
+// as faultinject_test.go. The demotion contract pinned here: a panic or
+// stall inside a multi-lane pass demotes that file's classes to one-lane
+// passes with no lost or duplicated findings, transient faults are absorbed
+// by the demotion (the rerun's fresh retry ladder, not the multi-lane
+// attempt, decides terminality), and breaker charges land on the faulting
+// class only — never on innocent lanes of the same group.
 
 import (
 	"sync/atomic"
@@ -39,7 +39,7 @@ func findingCount(rep *Report, file string, class vuln.ClassID) int {
 }
 
 // TestFusedPanicDemotesWithoutLosingFindings panics inside the first fused
-// invocation of one lane's task hook and asserts the demoted per-class
+// invocation of one lane's task hook and asserts the demoted one-lane
 // reruns recover every finding exactly once, with no diagnostics, no
 // breaker charge, and the demotion visible only in the stats.
 func TestFusedPanicDemotesWithoutLosingFindings(t *testing.T) {
@@ -184,13 +184,14 @@ func TestFusedStatsAccounting(t *testing.T) {
 		t.Errorf("FusedDemoted = %d, want 0 on a fault-free scan", s.FusedDemoted)
 	}
 
-	// With fusion off the counters stay zero.
-	e2 := newTestEngine(t, fusedFaultOpts(Options{Parallelism: 1, DisableFusion: true}))
+	// With one class every group is a one-lane pass, which the multi-lane
+	// counters do not count.
+	e2 := newTestEngine(t, fusedFaultOpts(Options{Parallelism: 1, Classes: []vuln.ClassID{vuln.XSSR}}))
 	rep2, err := e2.Analyze(twoFileProject())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s := rep2.Stats; s.FusedPasses != 0 || s.FusedTasks != 0 || s.FusedDemoted != 0 {
-		t.Errorf("unfused scan recorded fused counters: %d/%d/%d", s.FusedPasses, s.FusedTasks, s.FusedDemoted)
+		t.Errorf("one-lane scan recorded multi-lane counters: %d/%d/%d", s.FusedPasses, s.FusedTasks, s.FusedDemoted)
 	}
 }

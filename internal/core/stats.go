@@ -16,7 +16,7 @@ type ClassStats struct {
 	// Skipped the number dropped by the sink pre-filter.
 	Tasks   int
 	Skipped int
-	// Steps is the total AST-node count the class's tasks visited.
+	// Steps is the total IR-instruction count the class's tasks executed.
 	Steps int64
 	// CacheHits / CacheMisses count shared-summary lookups by the class's
 	// tasks (hits replay a committed summary; misses opened a fill attempt).
@@ -52,7 +52,9 @@ type ScanStats struct {
 	// proven to have zero findings without running).
 	Tasks        int
 	TasksSkipped int
-	// TotalSteps / MaxTaskSteps summarize AST-step consumption.
+	// TotalSteps / MaxTaskSteps summarize step consumption: IR instructions
+	// executed, counted per (file, class) task. (Renderers keep the
+	// historical "AST steps" label so report bytes stay stable.)
 	TotalSteps   int64
 	MaxTaskSteps int64
 	// CacheHits / CacheMisses / CacheEntries describe the shared summary
@@ -73,7 +75,7 @@ type ScanStats struct {
 	// the previous snapshot; TasksReused those the hit actually satisfied
 	// (a hit whose entry fails to rebind re-executes, so hits ≥ reused);
 	// FingerprintMisses the planned store lookups that found nothing;
-	// StepsSaved the AST steps the reused entries spent when they originally
+	// StepsSaved the steps the reused entries spent when they originally
 	// executed.
 	TasksReused       int
 	FingerprintHits   int
@@ -110,18 +112,17 @@ type ScanStats struct {
 	// class ID, flagged with ClassStats.Weapon.
 	ActiveWeapons     []string
 	WeaponSetRevision int64
-	// Fused-execution account (all zero when fusion is disabled, the legacy
-	// walker ran, or no file had two runnable classes). FusedPasses counts
-	// clean multi-class IR passes; FusedTasks the (file, class) tasks those
-	// passes dispositioned; FusedDemoted the tasks a mid-pass fault demoted
-	// to unfused per-class execution (those tasks' dispositions are accounted
-	// by their unfused reruns as usual).
+	// Multi-lane fused-pass account (all zero when no file had two runnable
+	// classes; one-lane passes are not counted). FusedPasses counts clean
+	// multi-class passes; FusedTasks the (file, class) tasks those passes
+	// dispositioned; FusedDemoted the tasks a mid-pass fault demoted to
+	// one-lane passes (those tasks' dispositions are accounted by their
+	// one-lane reruns as usual).
 	FusedPasses  int
 	FusedTasks   int
 	FusedDemoted int
-	// IR accounts the IR engine's lowering layer and summary
-	// transfer-function traffic; nil when the scan ran the legacy walker
-	// (Options.DisableIR), so legacy renderer output is byte-identical.
+	// IR accounts the lowering layer and summary transfer-function traffic;
+	// set whenever the scan had a project.
 	IR *IRScanStats
 	// ByClass breaks the account down per vulnerability class.
 	ByClass map[vuln.ClassID]*ClassStats
@@ -242,7 +243,7 @@ func (c *statsCollector) recordFingerprintMiss() {
 }
 
 // recordReused accounts one task satisfied from the result store: steps is
-// the AST-step count the stored execution spent, findings the entry's
+// the step count the stored execution spent, findings the entry's
 // finding count (folded into the class account exactly as an execution
 // would).
 func (c *statsCollector) recordReused(id vuln.ClassID, steps, findings int) {
@@ -291,8 +292,8 @@ func (c *statsCollector) recordFusedPass(n int) {
 	c.s.FusedTasks += n
 }
 
-// recordFusedDemotion accounts n tasks demoted to unfused execution by a
-// fault inside their fused pass.
+// recordFusedDemotion accounts n tasks demoted to one-lane passes by a
+// fault inside their multi-lane pass.
 func (c *statsCollector) recordFusedDemotion(n int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -308,8 +309,7 @@ func (c *statsCollector) recordBreakerSkip(id vuln.ClassID) {
 }
 
 // snapshot finalizes the stats for the report. irc is the scan's IR
-// lowering cache, nil when the legacy walker ran (leaving Stats.IR nil so
-// legacy renderer output is unchanged).
+// lowering cache, nil only when the scan had no project.
 func (c *statsCollector) snapshot(cacheEntries int, irc *ir.Cache) *ScanStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()

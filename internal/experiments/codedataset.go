@@ -28,16 +28,24 @@ func BuildCodeDrivenDataset(seed int64) (*ml.Dataset, error) {
 	extractor := symptom.NewExtractor(nil)
 	var pool []symptom.Vector
 
+	classes := vuln.WAPe()
 	for _, app := range corpus.WebAppSuite(seed) {
 		if len(app.Spots) == 0 {
 			continue
 		}
 		proj := core.LoadMap(app.Name, app.Files)
+		irc := proj.IRCache()
 		sx := extractor.NewScan()
+		cfgs := make([]taint.Config, len(classes))
+		for i, cls := range classes {
+			cfgs[i] = taint.Config{Class: cls, Resolver: proj}
+		}
 		for _, sf := range proj.Files {
-			for _, cls := range vuln.WAPe() {
-				an := taint.New(taint.Config{Class: cls, Resolver: proj})
-				for _, cand := range an.File(sf.AST) {
+			// One fused pass per file, one lane per class in WAPe order.
+			fz := taint.NewFused(cfgs)
+			fz.FileIR(sf.AST, irc.File(sf.AST), irc)
+			for lane := range classes {
+				for _, cand := range fz.Candidates(lane) {
 					// Label from ground truth: a candidate inside a planted
 					// FP spot is a false positive, inside a vulnerable spot
 					// a real vulnerability; unmatched candidates (duplicate

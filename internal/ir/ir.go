@@ -47,7 +47,7 @@ const (
 	// the base is syntactically a plain variable ("" otherwise) and Key the
 	// static index key text. XBlk evaluates the base, IBlk the index; the
 	// evaluator runs IBlk alone on the entry-point path and XBlk+IBlk
-	// otherwise (mirroring the walker's two branches).
+	// otherwise.
 	OpIndex
 	// OpUnion merges Args into Dst.
 	OpUnion
@@ -198,13 +198,13 @@ const (
 	LVList
 )
 
-// LValue is a static assignment-target tree mirroring the walker's
-// assignTo: index expressions and dynamic parts are resolved (or dropped)
-// at lowering time, exactly as the walker ignores them at run time.
+// LValue is a static assignment-target tree: index expressions and dynamic
+// parts are resolved (or dropped) at lowering time, because the evaluator
+// never looks at them.
 type LValue struct {
 	Kind LVKind
 	Name string
-	// Strong marks targets the walker overwrites even with an untainted
+	// Strong marks targets the evaluator overwrites even with an untainted
 	// value (plain variables and static properties); weak targets
 	// ($x->p with a tainted value, array roots) merge instead.
 	Strong bool
@@ -234,10 +234,10 @@ const (
 	// RBasic runs the single block Blk.
 	RBasic
 	// RIf runs Then against a snapshot, restores, runs Else, then joins
-	// (the walker's branch protocol). The condition was evaluated by the
+	// (the branch protocol). The condition was evaluated by the
 	// preceding block.
 	RIf
-	// RLoop2 runs Body twice — the walker's two-pass loop widening
+	// RLoop2 runs Body twice — two-pass loop widening
 	// (while/do-while/foreach; condition evaluation sits in the
 	// surrounding blocks).
 	RLoop2
@@ -250,7 +250,7 @@ const (
 )
 
 // Region is a structured control-flow tree node. The evaluator interprets
-// regions (which preserves the walker's exact evaluation order); the flat
+// regions (which preserves source evaluation order); the flat
 // Succs/Preds edges on blocks expose the same structure as a conventional
 // CFG for analyses and tooling.
 type Region struct {
@@ -314,7 +314,7 @@ func (f *Func) NumInstrs() int {
 }
 
 // Degraded records an AST subtree the lowering deliberately did not turn
-// into instructions — constructs the taint walker itself never evaluates
+// into instructions — constructs the taint evaluator never looks at
 // (assignment-index subexpressions, dynamic class expressions, class
 // constant initializers). Every AST node is either lowered or accounted
 // here; nothing is dropped silently.

@@ -67,9 +67,9 @@ type JSONScanStats struct {
 	CacheHits    int64 `json:"cache_hits"`
 	CacheMisses  int64 `json:"cache_misses"`
 	CacheEntries int   `json:"cache_entries"`
-	// FusedPasses / FusedTasks / FusedDemoted account fused scheduling:
-	// multi-class IR passes, the tasks they dispositioned, and the tasks a
-	// mid-pass fault demoted to unfused per-class execution.
+	// FusedPasses / FusedTasks / FusedDemoted account multi-lane fused
+	// passes: the passes, the tasks they dispositioned, and the tasks a
+	// mid-pass fault demoted to one-lane passes.
 	FusedPasses  int `json:"fused_passes,omitempty"`
 	FusedTasks   int `json:"fused_tasks,omitempty"`
 	FusedDemoted int `json:"fused_demoted,omitempty"`
@@ -104,9 +104,8 @@ type JSONScanStats struct {
 	// pluggable backend. Like every stats field it describes work, never
 	// findings: a degraded backend changes these counters only.
 	Backend *resultstore.BackendState `json:"backend,omitempty"`
-	// IR accounts the IR engine's lowering layer and summary
-	// transfer-function traffic; absent on legacy-walker scans, keeping
-	// their output byte-identical to pre-IR reports.
+	// IR accounts the lowering layer and summary transfer-function
+	// traffic; absent only for stats not produced by a project scan.
 	IR      *JSONIRStats     `json:"ir,omitempty"`
 	ByClass []JSONClassStats `json:"by_class,omitempty"`
 }

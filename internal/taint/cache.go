@@ -65,8 +65,8 @@ type sharedEntry struct {
 	cands []*Candidate
 	// byref are the by-reference parameter effects.
 	byref []byrefOut
-	// steps is the AST-step count the fill consumed; consumers are charged
-	// the same amount so budget exhaustion is cache-independent.
+	// steps is the IR-instruction count the fill consumed; consumers are
+	// charged the same amount so budget exhaustion is cache-independent.
 	steps int
 }
 
@@ -187,24 +187,9 @@ func zeroValue(v Value) bool {
 	return !v.Tainted && len(v.Sources) == 0 && len(v.Sanitizers) == 0 && len(v.Trace) == 0
 }
 
-// shareEligible reports whether the current call may consult or fill the
-// shared cache: top-level context, shared cache configured, and every
-// argument free of caller-specific content.
-func (a *Analyzer) shareEligible(args []Value) bool {
-	if a.cfg.Shared == nil || a.depth != 0 || len(a.analyzing) != 0 || a.fill != nil {
-		return false
-	}
-	for _, v := range args {
-		if !zeroValue(v) {
-			return false
-		}
-	}
-	return true
-}
-
 // sharedLookup returns a consumable committed entry for k. An entry whose
 // replay would cross the step budget is rejected so the consumer recomputes
-// and degrades at exactly the same point an uncached run would.
+// and stops at exactly the same point an uncached run would.
 func (a *Analyzer) sharedLookup(k SummaryKey) *sharedEntry {
 	e := a.cfg.Shared.lookup(k)
 	if e == nil {
@@ -216,41 +201,62 @@ func (a *Analyzer) sharedLookup(k SummaryKey) *sharedEntry {
 	return e
 }
 
-// consumeShared replays entry e at a call site: report the body's
-// candidates (through the per-task dedup filter, with the candidate file
-// rewritten to the consumer's), re-apply by-ref effects, charge the fill's
-// steps, and install the summary into the per-task memo so later calls at
-// the same site behave exactly like the uncached engine's memo hits.
-func (a *Analyzer) consumeShared(e *sharedEntry, memoKey string, argExprs []ast.Expr, caller *env) Value {
+// shareEligible reports whether lane l's call may consult or fill the
+// shared cache: top-level context, shared cache configured, and every
+// argument free of caller-specific content.
+func (fz *Fused) shareEligible(a *Analyzer, args []fval, l int) bool {
+	if a.cfg.Shared == nil || a.depth != 0 || len(a.analyzing) != 0 || a.fill != nil {
+		return false
+	}
+	for _, v := range args {
+		if !zeroValue(v.get(l)) {
+			return false
+		}
+	}
+	return true
+}
+
+// consumeShared replays entry se at a call site for lane l: report the
+// body's candidates (through the lane's dedup filter, with the candidate
+// file rewritten to the consumer's), re-apply by-ref effects to the caller
+// environment, charge the fill's steps, and install the summary into the
+// lane's memo so later calls at the same site behave exactly like
+// uncached memo hits.
+func (fz *Fused) consumeShared(a *Analyzer, l int, se *sharedEntry, memoKey string, argExprs []ast.Expr, caller *fenv) Value {
 	a.sharedHits++
-	a.steps += e.steps
-	for _, c := range e.cands {
+	a.steps += se.steps
+	for _, c := range se.cands {
 		cc := *c
 		cc.File = a.fileName()
 		a.report(&cc)
 	}
-	for _, br := range e.byref {
+	lm := oneLane(l)
+	for _, br := range se.byref {
 		if br.idx < len(argExprs) {
-			a.assignTo(argExprs[br.idx], br.val, caller)
+			bv := fval{uni: br.val}
+			if br.val.Tainted {
+				bv.mask = lm
+			}
+			fz.assignTo(argExprs[br.idx], bv, caller, lm)
 		}
 	}
-	a.summaries[memoKey] = &summary{returnValue: e.ret}
-	return e.ret
+	a.summaries[memoKey] = &summary{returnValue: se.ret}
+	return se.ret
 }
 
-// finishFill closes the active fill frame, publishing a pending entry when
-// the fill stayed pure and within budget. fn and inner provide the by-ref
-// parameter effects.
-func (a *Analyzer) finishFill(ret Value, fn *ast.FunctionDecl, inner *env) {
+// finishFill closes lane l's active fill frame, publishing a pending entry
+// when the fill stayed pure and the pass did not stop. By-ref out-values are
+// read from the callee environment inner.
+func (fz *Fused) finishFill(a *Analyzer, l int, ret Value, fn *ast.FunctionDecl, inner *fenv) {
 	fr := a.fill
 	a.fill = nil
-	if fr == nil || a.exhausted || fr.impure {
+	if fr == nil || fr.impure || fz.aborted {
 		return
 	}
 	e := &sharedEntry{ret: ret, cands: fr.cands, steps: a.steps - fr.stepsStart}
 	for i, p := range fn.Params {
 		if p.ByRef {
-			e.byref = append(e.byref, byrefOut{idx: i, val: inner.get(p.Name)})
+			e.byref = append(e.byref, byrefOut{idx: i, val: fenvLane(inner, p.Name, l)})
 		}
 	}
 	a.pending = append(a.pending, PendingSummary{Key: fr.key, entry: e})

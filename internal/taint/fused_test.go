@@ -2,18 +2,21 @@ package taint
 
 import (
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/ir"
+	"repro/internal/php/ast"
 	"repro/internal/php/parser"
 	"repro/internal/vuln"
 )
 
-// fusedDiffSrcs are the scenarios the fused evaluator must reproduce
-// byte-for-byte per lane: class-divergent sanitizers (which spill uniform
-// cells to per-lane values), shared entry points, branch and switch joins
-// over spilled cells, user functions with memoized/by-ref summaries,
-// methods, closures and taint-transferring builtins.
+// fusedDiffSrcs are the scenarios on which an N-lane pass must reproduce
+// every lane's one-lane pass byte for byte: class-divergent sanitizers
+// (which spill uniform cells to per-lane values), shared entry points,
+// branch and switch joins over spilled cells, user functions with
+// memoized/by-ref summaries, methods, closures and taint-transferring
+// builtins.
 var fusedDiffSrcs = map[string]string{
 	"basic": `<?php
 $id = $_GET['id'];
@@ -114,8 +117,8 @@ $arr = array("k" => $_GET['av']);
 mysql_query($arr);`,
 }
 
-// fusedLaneState captures everything the engine consumes from one lane.
-type fusedLaneState struct {
+// laneState captures everything the engine consumes from one lane.
+type laneState struct {
 	cands   []string
 	steps   int
 	hits    int
@@ -144,31 +147,42 @@ func sameKeys(a, b []SummaryKey) bool {
 	return true
 }
 
-// diffFusedUnfused runs every weapon class over src unfused (one FileIR per
-// class) and fused (one pass), asserting per-lane state is byte-identical.
-func diffFusedUnfused(t *testing.T, src string, mkCfg func(cls *vuln.Class) Config) {
+func parseAndLower(t *testing.T, src string) (*ast.File, *ir.File) {
 	t.Helper()
 	f, errs := parser.Parse("test.php", src)
 	if len(errs) > 0 {
 		t.Fatalf("parse errors: %v", errs)
 	}
-	fir := ir.LowerFile(f)
+	return f, ir.LowerFile(f)
+}
+
+// onePass runs cfg as a one-lane pass and captures the lane.
+func onePass(f *ast.File, fir *ir.File, cfg Config) (laneState, *Analyzer) {
+	a := New(cfg)
+	cands := a.FileIR(f, fir, nil)
+	return laneState{
+		cands:   candDetails(cands),
+		steps:   a.Steps(),
+		hits:    a.SharedHits(),
+		misses:  a.SharedMisses(),
+		xfers:   a.TransferHits(),
+		pending: pendingKeys(a.PendingShared()),
+	}, a
+}
+
+// wantLanesEqualOnePasses runs every class over f as one-lane passes and
+// as one N-lane pass, asserting every lane's state is byte-identical to its
+// one-lane pass. It returns the total shared-cache hits seen.
+func wantLanesEqualOnePasses(t *testing.T, f *ast.File, fir *ir.File, mkCfg func(cls *vuln.Class) Config) int {
+	t.Helper()
 	classes := vuln.All()
 
-	want := make([]fusedLaneState, len(classes))
+	want := make([]laneState, len(classes))
 	for i, cls := range classes {
-		a := New(mkCfg(cls))
-		cands := a.FileIR(f, fir, nil)
+		var a *Analyzer
+		want[i], a = onePass(f, fir, mkCfg(cls))
 		if a.Exhausted() {
-			t.Fatalf("[%s] unfused run exhausted; raise the test budget", cls.ID)
-		}
-		want[i] = fusedLaneState{
-			cands:   candDetails(cands),
-			steps:   a.Steps(),
-			hits:    a.SharedHits(),
-			misses:  a.SharedMisses(),
-			xfers:   a.TransferHits(),
-			pending: pendingKeys(a.PendingShared()),
+			t.Fatalf("[%s] one-lane pass exhausted; raise the test budget", cls.ID)
 		}
 	}
 
@@ -178,10 +192,11 @@ func diffFusedUnfused(t *testing.T, src string, mkCfg func(cls *vuln.Class) Conf
 	}
 	fz := NewFused(cfgs)
 	if !fz.FileIR(f, fir, nil) {
-		t.Fatal("fused pass aborted; expected clean completion")
+		t.Fatal("fused pass stopped early; expected clean completion")
 	}
+	hits := 0
 	for i, cls := range classes {
-		got := fusedLaneState{
+		got := laneState{
 			cands:   candDetails(fz.Candidates(i)),
 			steps:   fz.Steps(i),
 			hits:    fz.SharedHits(i),
@@ -189,90 +204,136 @@ func diffFusedUnfused(t *testing.T, src string, mkCfg func(cls *vuln.Class) Conf
 			xfers:   fz.TransferHits(i),
 			pending: pendingKeys(fz.PendingShared(i)),
 		}
+		hits += got.hits
 		if strings.Join(got.cands, "\n") != strings.Join(want[i].cands, "\n") {
-			t.Errorf("[%s] candidate divergence:\nunfused:\n  %s\nfused:\n  %s", cls.ID,
+			t.Errorf("[%s] candidate divergence:\none-lane:\n  %s\nfused:\n  %s", cls.ID,
 				strings.Join(want[i].cands, "\n  "), strings.Join(got.cands, "\n  "))
 		}
 		if got.steps != want[i].steps {
-			t.Errorf("[%s] steps: unfused %d, fused %d", cls.ID, want[i].steps, got.steps)
+			t.Errorf("[%s] steps: one-lane %d, fused %d", cls.ID, want[i].steps, got.steps)
 		}
 		if got.hits != want[i].hits || got.misses != want[i].misses || got.xfers != want[i].xfers {
-			t.Errorf("[%s] cache counters: unfused hit=%d miss=%d xfer=%d, fused hit=%d miss=%d xfer=%d",
+			t.Errorf("[%s] cache counters: one-lane hit=%d miss=%d xfer=%d, fused hit=%d miss=%d xfer=%d",
 				cls.ID, want[i].hits, want[i].misses, want[i].xfers, got.hits, got.misses, got.xfers)
 		}
 		if !sameKeys(got.pending, want[i].pending) {
-			t.Errorf("[%s] pending summaries: unfused %v, fused %v", cls.ID, want[i].pending, got.pending)
+			t.Errorf("[%s] pending summaries: one-lane %v, fused %v", cls.ID, want[i].pending, got.pending)
 		}
 	}
+	return hits
 }
 
 func TestFusedEquivAllClasses(t *testing.T) {
 	for name, src := range fusedDiffSrcs {
 		t.Run(name, func(t *testing.T) {
-			diffFusedUnfused(t, src, func(cls *vuln.Class) Config {
+			f, fir := parseAndLower(t, src)
+			wantLanesEqualOnePasses(t, f, fir, func(cls *vuln.Class) Config {
 				return Config{Class: cls}
 			})
 		})
 	}
 }
 
-// TestFusedEquivWithSharedCache pins per-lane shared-summary bookkeeping:
-// hits, misses, transfer counts and pending fills must match an unfused run
-// against an identically seeded store.
+// TestFusedEquivWithSharedCache pins per-lane shared-summary bookkeeping
+// against a warm store: a first pass fills it, then hits, misses, transfer
+// counts and pending fills of an N-lane pass must match the one-lane
+// passes'. Each side reads its own copy of the same committed entries.
 func TestFusedEquivWithSharedCache(t *testing.T) {
+	total := 0
 	for name, src := range fusedDiffSrcs {
 		t.Run(name, func(t *testing.T) {
-			unfusedShared := NewSharedSummaries()
-			fusedShared := NewSharedSummaries()
+			f, fir := parseAndLower(t, src)
+			oneShared, fusedShared := NewSharedSummaries(), NewSharedSummaries()
+			for _, cls := range vuln.All() {
+				a := New(Config{Class: cls, Shared: NewSharedSummaries()})
+				a.FileIR(f, fir, nil)
+				oneShared.Commit(a.PendingShared())
+				fusedShared.Commit(a.PendingShared())
+			}
 			calls := 0
-			diffFusedUnfused(t, src, func(cls *vuln.Class) Config {
-				// diffFusedUnfused builds unfused configs first, then the
-				// fused slice — give each engine its own empty store.
+			total += wantLanesEqualOnePasses(t, f, fir, func(cls *vuln.Class) Config {
+				// The one-lane configs are built first, then the fused
+				// slice; each side gets its own store.
 				calls++
 				if calls <= len(vuln.All()) {
-					return Config{Class: cls, Shared: unfusedShared}
+					return Config{Class: cls, Shared: oneShared}
 				}
 				return Config{Class: cls, Shared: fusedShared}
 			})
 		})
 	}
+	if total == 0 {
+		t.Error("no shared-cache hits in any scenario; the warm store is not exercised")
+	}
 }
 
-// TestFusedBudgetAbort pins the demotion trigger: the fused pass must abort
-// exactly when some lane's unfused run would exhaust its step budget, and
-// must complete when no lane would.
+// TestFusedBudgetAbort sweeps the step budget: at every budget an N-lane
+// pass must stop early exactly when one of its lanes' one-lane passes
+// exhausts. An exhausted one-lane pass reports Exhausted, charges one step
+// past the budget, and keeps a prefix of the unbounded candidate list.
 func TestFusedBudgetAbort(t *testing.T) {
-	src := fusedDiffSrcs["functions"]
-	f, errs := parser.Parse("test.php", src)
-	if len(errs) > 0 {
-		t.Fatalf("parse errors: %v", errs)
-	}
-	fir := ir.LowerFile(f)
+	f, fir := parseAndLower(t, fusedDiffSrcs["functions"])
 	classes := vuln.All()
 
+	full := make([][]string, len(classes))
 	maxSteps := 0
-	for _, cls := range classes {
-		a := New(Config{Class: cls})
-		a.FileIR(f, fir, nil)
-		if a.Steps() > maxSteps {
-			maxSteps = a.Steps()
-		}
+	for i, cls := range classes {
+		st, _ := onePass(f, fir, Config{Class: cls})
+		full[i] = st.cands
+		maxSteps = max(maxSteps, st.steps)
 	}
 	if maxSteps == 0 {
 		t.Fatal("expected nonzero step counts")
 	}
 
-	mk := func(budget int) []Config {
+	for budget := 1; budget <= maxSteps; budget++ {
 		cfgs := make([]Config, len(classes))
+		anyExhausted := false
 		for i, cls := range classes {
 			cfgs[i] = Config{Class: cls, MaxSteps: budget}
+			st, a := onePass(f, fir, cfgs[i])
+			if !a.Exhausted() {
+				continue
+			}
+			anyExhausted = true
+			if a.Stopped() {
+				t.Fatalf("budget %d [%s]: budget exhaustion reported as a stop", budget, cls.ID)
+			}
+			if st.steps != budget+1 {
+				t.Fatalf("budget %d [%s]: exhausted pass counted %d steps, want %d", budget, cls.ID, st.steps, budget+1)
+			}
+			if len(st.cands) > len(full[i]) || strings.Join(st.cands, "\n") != strings.Join(full[i][:len(st.cands)], "\n") {
+				t.Fatalf("budget %d [%s]: exhausted candidates are not a prefix of the full run:\n  %s",
+					budget, cls.ID, strings.Join(st.cands, "\n  "))
+			}
 		}
-		return cfgs
+		completed := NewFused(cfgs).FileIR(f, fir, nil)
+		if completed == anyExhausted {
+			t.Fatalf("budget %d: fused pass completed=%v, but some lane exhausts=%v", budget, completed, anyExhausted)
+		}
 	}
-	if fz := NewFused(mk(maxSteps)); !fz.FileIR(f, fir, nil) {
-		t.Errorf("fused pass aborted at budget %d, where every lane completes", maxSteps)
+	if !NewFused([]Config{{Class: classes[0], MaxSteps: maxSteps}}).FileIR(f, fir, nil) {
+		t.Errorf("pass stopped at budget %d, where every lane completes", maxSteps)
 	}
-	if fz := NewFused(mk(maxSteps - 1)); fz.FileIR(f, fir, nil) {
-		t.Errorf("fused pass completed at budget %d, where the furthest lane exhausts", maxSteps-1)
+}
+
+// TestOneLaneStopKeepsPrefix: a pre-set cooperative stop flag ends a
+// one-lane pass at its first poll, marking it Stopped and Exhausted.
+func TestOneLaneStopKeepsPrefix(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("<?php\n")
+	for i := 0; i < 200; i++ {
+		b.WriteString("mysql_query($_GET['q']);\n")
+	}
+	f, fir := parseAndLower(t, b.String())
+	stop := new(atomic.Bool)
+	stop.Store(true)
+	a := New(Config{Class: vuln.MustGet(vuln.SQLI), Stop: stop})
+	cands := a.FileIR(f, fir, nil)
+	if !a.Stopped() || !a.Exhausted() {
+		t.Fatalf("stopped=%v exhausted=%v, want both", a.Stopped(), a.Exhausted())
+	}
+	if len(cands) == 0 || len(cands) >= 200 {
+		t.Fatalf("stopped pass kept %d candidates, want a non-empty strict prefix of 200", len(cands))
 	}
 }

@@ -174,7 +174,7 @@ func (m laneMask) forEach(fn func(lane int)) {
 
 // fval is the fused taint cell: one Value per lane. While every lane agrees
 // the cell stays uniform (segs == nil) and uni is the single shared Value —
-// byte-for-byte what each unfused lane would have computed independently,
+// byte-for-byte what each lane's one-lane pass would have computed,
 // since isomorphic evaluation over identical inputs builds identical values.
 // Once lanes diverge (a sanitizer that only some classes recognize, an
 // entry point only some classes taint) the cell spills to segs: a set of
@@ -195,8 +195,7 @@ func (m laneMask) forEach(fn func(lane int)) {
 // Aliasing rule: a segs slice is immutable once the fval is stored anywhere
 // (a register, an environment cell, a snapshot). Operations that change a
 // group's Value build a fresh segs slice; appending to a Value's internal
-// slices is allowed only on a freshly built Value (the same discipline the
-// scalar engine applies to Value itself).
+// slices is allowed only on a freshly built Value.
 type fval struct {
 	mask laneMask
 	uni  Value
