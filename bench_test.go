@@ -380,7 +380,18 @@ func BenchmarkAnalyzeAppIncrementalCold(b *testing.B) {
 // which must stay ≥5× (the bench trajectory in BENCH_analyze.json tracks it
 // run over run; `make bench-compare` flags regressions).
 func BenchmarkAnalyzeAppIncremental(b *testing.B) {
-	app := incrementalBenchApp()
+	benchWarmRescan(b, incrementalBenchApp())
+}
+
+// BenchmarkAnalyzeAppIncrementalLarge is BenchmarkAnalyzeAppIncremental on a
+// tree ten times larger (1,200 files). A warm rescan should cost O(edit), so
+// the ratio of the two, which `make bench-compare` prints, tracks how much
+// of a rescan still scales with the project.
+func BenchmarkAnalyzeAppIncrementalLarge(b *testing.B) {
+	benchWarmRescan(b, corpus.LargeApp(1, 1200, 40))
+}
+
+func benchWarmRescan(b *testing.B, app *corpus.App) {
 	eng, err := core.New(core.Options{Mode: core.ModeWAPe, Seed: 1})
 	if err != nil {
 		b.Fatal(err)

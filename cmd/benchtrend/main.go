@@ -210,6 +210,11 @@ func compare(entries []entry, threshold float64, w io.Writer) (regressed bool) {
 	if okc && okw && warm > 0 {
 		fmt.Fprintf(w, "incremental speedup (cold/warm): %.1fx\n", cold/warm)
 	}
+	// How much of a warm rescan still scales with the project: information
+	// only, no gate. O(edit) rescans would read 1x.
+	if large, ok := last.Benchmarks["BenchmarkAnalyzeAppIncrementalLarge"]; ok && okw && warm > 0 {
+		fmt.Fprintf(w, "warm rescan scaling (1,200/120 files): %.1fx\n", large/warm)
+	}
 	return regressed
 }
 

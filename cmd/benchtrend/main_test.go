@@ -190,3 +190,26 @@ not json at all
 		t.Errorf("surviving entry mangled: %+v", entries[0])
 	}
 }
+
+// TestCompareWarmScalingLine pins the informational 1,200/120-file warm
+// rescan ratio: printed when both warm benchmarks are present, never a
+// regression by itself.
+func TestCompareWarmScalingLine(t *testing.T) {
+	e := entry{Date: "d", Benchmarks: map[string]float64{
+		"BenchmarkAnalyzeAppIncremental":      3e6,
+		"BenchmarkAnalyzeAppIncrementalLarge": 24e6,
+	}}
+	var out bytes.Buffer
+	if compare([]entry{e, e}, 0.10, &out) {
+		t.Fatalf("identical entries compared as a regression:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "warm rescan scaling (1,200/120 files): 8.0x") {
+		t.Errorf("compare output missing the warm scaling line:\n%s", out.String())
+	}
+	delete(e.Benchmarks, "BenchmarkAnalyzeAppIncrementalLarge")
+	out.Reset()
+	compare([]entry{e, e}, 0.10, &out)
+	if strings.Contains(out.String(), "warm rescan scaling") {
+		t.Errorf("scaling line printed without the large benchmark:\n%s", out.String())
+	}
+}

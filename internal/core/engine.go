@@ -296,12 +296,14 @@ type Engine struct {
 	sinkTabOnce sync.Once
 	sinkTab     *sinkTable
 
-	// reuseCache holds, per project name, the decoded findings of the last
-	// persisted snapshot, so an in-process warm rescan skips re-decoding
-	// store entries. Generations are replaced wholesale (copy-on-write):
-	// readers keep the map reference they grabbed at plan time.
+	// reuseCache holds, per project name, the generation of the last
+	// persisted scan — its closures, closure hashes, fingerprints and decoded
+	// findings — so an in-process warm rescan recomputes only what an edit
+	// touched and skips re-decoding store entries. Generations are replaced
+	// wholesale (copy-on-write): readers keep the one they grabbed at plan
+	// time.
 	reuseMu    sync.Mutex
-	reuseCache map[string]map[string]*decodedTask
+	reuseCache map[string]*scanGen
 }
 
 // BreakerSnapshot reports each class breaker's current state for health
@@ -603,6 +605,10 @@ type execState struct {
 	executed  int
 	completed int64
 	shared    *taint.SharedSummaries
+	// irc is the scan's IR lowering cache: every file is lowered at most
+	// once per scan and the lowered form dies with the scan, so a Project
+	// kept for parse reuse does not pin it.
+	irc *ir.Cache
 }
 
 // executePlan runs the plan's execution queue through the worker pool and
@@ -613,12 +619,13 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 		clean:    make([]bool, len(plan.tasks)),
 		steps:    make([]int, len(plan.tasks)),
 		executed: len(plan.execIdx),
+		irc:      ir.NewCache(),
 	}
 	ck := newCheckpointer(p, plan, so, stats)
 	if !e.opts.DisableSummaryCache {
 		exec.shared = taint.NewSharedSummaries()
 	}
-	shared := exec.shared
+	shared, irc := exec.shared, exec.irc
 	// The symptom scope memo lives exactly as long as this scan, so a
 	// long-lived engine never pins an earlier project's ASTs.
 	sx := e.extractor.NewScan()
@@ -653,7 +660,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 					outc <- taskOutcome{panicVal: fmt.Sprint(r), stack: string(debug.Stack())}
 				}
 			}()
-			outc <- e.runPass([]task{t}, p, stop, attemptBudget, shared, sx)[0]
+			outc <- e.runPass([]task{t}, p, stop, attemptBudget, shared, sx, irc)[0]
 		}()
 
 		var timeoutC <-chan time.Time
@@ -893,7 +900,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 					outc <- nil
 				}
 			}()
-			outc <- e.runPass(ts, p, stop, budget, shared, sx)
+			outc <- e.runPass(ts, p, stop, budget, shared, sx, irc)
 		}()
 		var timeoutC <-chan time.Time
 		if e.opts.TaskTimeout > 0 {
@@ -996,11 +1003,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 func (e *Engine) mergeScan(ctx context.Context, plan *scanPlan, exec *execState, stats *statsCollector, rep *Report, start time.Time) (*Report, error) {
 	sortDiagnostics(exec.taskDiags)
 	rep.Diagnostics = append(rep.Diagnostics, exec.taskDiags...)
-	var irc *ir.Cache
-	if rep.Project != nil {
-		irc = rep.Project.IRCache()
-	}
-	rep.Stats = stats.snapshot(exec.shared.Len(), irc)
+	rep.Stats = stats.snapshot(exec.shared.Len(), exec.irc)
 	if rep.Project != nil {
 		rep.Stats.ParseWall = rep.Project.LoadStats.ParseWall
 		rep.Stats.LoadWorkers = rep.Project.LoadStats.Workers
@@ -1014,9 +1017,9 @@ func (e *Engine) mergeScan(ctx context.Context, plan *scanPlan, exec *execState,
 		}
 		rep.Stats.WeaponSetRevision = e.opts.WeaponSetRevision
 	}
-	for i, ok := range plan.reusedOK {
-		if ok {
-			exec.results[i] = plan.reused[i]
+	for i, r := range plan.reused {
+		if r != nil {
+			exec.results[i] = r.findings
 		}
 	}
 	if err := ctx.Err(); err != nil {

@@ -4,8 +4,11 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/ir"
 	"repro/internal/resultstore"
@@ -103,30 +106,30 @@ func (e *Engine) effectiveBudget() int {
 	}
 }
 
-// closureHashes computes one hash per file: the content hashes of every file
-// in its reachable closure, folded in path order so the hash depends only on
-// the closure's membership and contents, not on BFS discovery order.
-func closureHashes(p *Project, reach [][]int) []string {
-	out := make([]string, len(p.Files))
-	for i, closure := range reach {
-		sorted := append([]int(nil), closure...)
-		sort.Slice(sorted, func(a, b int) bool {
-			return p.Files[sorted[a]].Path < p.Files[sorted[b]].Path
-		})
-		h := sha256.New()
-		for _, j := range sorted {
-			f := p.Files[j]
-			fmt.Fprintf(h, "%s\x00", f.Path)
-			h.Write(f.Hash[:])
-		}
-		out[i] = hex.EncodeToString(h.Sum(nil))
+// closureHash hashes one file's reachable closure: the path and content
+// hash of every member, folded in path order so the hash depends only on
+// the closure's membership and contents, not on discovery order.
+func closureHash(closure []*SourceFile) string {
+	sorted := slices.Clone(closure)
+	slices.SortFunc(sorted, func(a, b *SourceFile) int { return strings.Compare(a.Path, b.Path) })
+	h := sha256.New()
+	for _, f := range sorted {
+		io.WriteString(h, f.Path)
+		h.Write([]byte{0})
+		h.Write(f.Hash[:])
 	}
-	return out
+	return hex.EncodeToString(h.Sum(nil))
 }
 
-// taskFingerprint is the store key of one (file, class) task.
+// taskFingerprint is the store key of one (file, class) task: the SHA-256 of
+// the config digest, the class and the closure hash, NUL-separated.
 func taskFingerprint(configDigest string, cls vuln.ClassID, closureHash string) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\x00%s\x00%s", configDigest, cls, closureHash)
-	return hex.EncodeToString(h.Sum(nil))
+	buf := make([]byte, 0, len(configDigest)+len(cls)+len(closureHash)+2)
+	buf = append(buf, configDigest...)
+	buf = append(buf, 0)
+	buf = append(buf, cls...)
+	buf = append(buf, 0)
+	buf = append(buf, closureHash...)
+	sum := sha256.Sum256(buf)
+	return hex.EncodeToString(sum[:])
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"sync/atomic"
 
+	"repro/internal/ir"
 	"repro/internal/symptom"
 	"repro/internal/taint"
 )
@@ -43,7 +44,7 @@ func fuseGroups(plan *scanPlan) [][]int {
 // pass proved before stopping. A multi-lane pass that stops early returns
 // nil: the other lanes were cut off too, so the caller demotes the group to
 // one-lane passes.
-func (e *Engine) runPass(ts []task, p *Project, stop *atomic.Bool, budget int, shared *taint.SharedSummaries, sx *symptom.Scan) []taskOutcome {
+func (e *Engine) runPass(ts []task, p *Project, stop *atomic.Bool, budget int, shared *taint.SharedSummaries, sx *symptom.Scan, irc *ir.Cache) []taskOutcome {
 	cfgs := make([]taint.Config, len(ts))
 	for k, t := range ts {
 		if e.opts.TaskHook != nil {
@@ -69,10 +70,9 @@ func (e *Engine) runPass(ts []task, p *Project, stop *atomic.Bool, budget int, s
 	}
 	fz := taint.NewFused(cfgs)
 	file := ts[0].file
-	// The lowered form is built once per file by the scan-scoped cache and
+	// The lowered form is built once per file by the scan's IR cache and
 	// shared read-only across every pass that touches the file.
-	cache := p.IRCache()
-	if !fz.FileIR(file.AST, cache.File(file.AST), cache) && len(ts) > 1 {
+	if !fz.FileIR(file.AST, irc.File(file.AST), irc) && len(ts) > 1 {
 		return nil
 	}
 	outs := make([]taskOutcome, len(ts))

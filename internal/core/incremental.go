@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/resultstore"
 )
@@ -32,12 +33,10 @@ type scanPlan struct {
 	tasks []task
 	// fingerprints are the store keys, aligned with tasks ("" without store).
 	fingerprints []string
-	// reused/reusedOK/entries are aligned with tasks: reusedOK[i] marks a
-	// task satisfied from the store, reused[i] its rebound findings and
-	// entries[i] the raw snapshot entry (re-persisted verbatim on save).
-	reused   [][]*Finding
-	reusedOK []bool
-	entries  []*resultstore.TaskEntry
+	// reused is aligned with tasks: a non-nil entry marks a task satisfied
+	// from the store, carrying its rebound findings and the raw snapshot
+	// entry (re-persisted verbatim on save).
+	reused []*decodedTask
 	// closures holds, per task, the parsed instances of every file in the
 	// task file's reachable closure (nil without store) — the validity key
 	// of the engine's decoded-findings cache.
@@ -51,6 +50,10 @@ type scanPlan struct {
 	// carries the load's full self-healing account (quarantine, salvage).
 	status   resultstore.LoadStatus
 	loadInfo resultstore.LoadInfo
+	// next is the generation a completed scan installs for the project: the
+	// plan parts below, filled here, and the task results persistSnapshot
+	// adds (nil without store).
+	next *scanGen
 }
 
 // decodedTask is one reusable task result in memory: the findings as decoded
@@ -78,34 +81,184 @@ func sameFiles(a, b []*SourceFile) bool {
 	return true
 }
 
-// projectCache returns the current decoded-findings generation for a project
-// (nil when none); setProjectCache installs the next generation.
-func (e *Engine) projectCache(name string) map[string]*decodedTask {
+// scanGen is one project's generation in the engine's reuse cache: what the
+// last persisted scan of the project computed. The next scan of the same
+// project name carries each part over only where it can prove the part's
+// inputs unchanged and computes the rest exactly as a first scan would, so
+// no output depends on what was carried. A generation is immutable once
+// installed and replaced wholesale.
+type scanGen struct {
+	// files are the scanned project's files in order; every slice below is
+	// aligned with them.
+	files []*SourceFile
+	// reach is fileClosures over files.
+	reach [][]int
+	// closures lists each file's closure members, cHashes their closureHash.
+	closures [][]*SourceFile
+	cHashes  []string
+	// fps[i][c] is the fingerprint of task (files[i], engine class c), ""
+	// for a class the pre-filter skipped.
+	fps [][]string
+	// tasks maps fingerprint to decoded result, mirroring what was persisted.
+	tasks map[string]*decodedTask
+}
+
+// projectGen returns the project's current generation (nil when none);
+// setProjectGen installs the next one.
+func (e *Engine) projectGen(name string) *scanGen {
 	e.reuseMu.Lock()
 	defer e.reuseMu.Unlock()
 	return e.reuseCache[name]
 }
 
-func (e *Engine) setProjectCache(name string, m map[string]*decodedTask) {
+func (e *Engine) setProjectGen(name string, g *scanGen) {
 	e.reuseMu.Lock()
 	defer e.reuseMu.Unlock()
 	if e.reuseCache == nil {
-		e.reuseCache = make(map[string]map[string]*decodedTask)
+		e.reuseCache = make(map[string]*scanGen)
 	}
-	e.reuseCache[name] = m
+	e.reuseCache[name] = g
+}
+
+// prevIndex maps each file of p to the index of the same path in g.files
+// (-1 when new); same reports that both list the same paths in the same
+// order. A nil g maps every file to -1.
+func (g *scanGen) prevIndex(p *Project) (idx []int, same bool) {
+	idx = make([]int, len(p.Files))
+	if g == nil {
+		for i := range idx {
+			idx[i] = -1
+		}
+		return idx, false
+	}
+	same = len(g.files) == len(p.Files)
+	for i, f := range p.Files {
+		if !same || g.files[i].Path != f.Path {
+			same = false
+			break
+		}
+		idx[i] = i
+	}
+	if same {
+		return idx, true
+	}
+	at := make(map[string]int, len(g.files))
+	for i, f := range g.files {
+		at[f.Path] = i
+	}
+	for i, f := range p.Files {
+		if j, ok := at[f.Path]; ok {
+			idx[i] = j
+		} else {
+			idx[i] = -1
+		}
+	}
+	return idx, false
+}
+
+// carriedReach returns g's closures when p's call-name graph is provably
+// g's — the same paths in the same order, and every file that is not g's
+// very SourceFile calls and declares the same names as its predecessor —
+// and computes fileClosures(p) otherwise.
+func (g *scanGen) carriedReach(p *Project, samePaths bool) [][]int {
+	if !samePaths {
+		return fileClosures(p)
+	}
+	for i, f := range p.Files {
+		old := g.files[i]
+		if f != old && (!slices.Equal(f.calledNames(), old.calledNames()) ||
+			!slices.Equal(declaredSet(f), declaredSet(old))) {
+			return fileClosures(p)
+		}
+	}
+	return g.reach
+}
+
+// declaredSet is declaredNames sorted and deduplicated.
+func declaredSet(f *SourceFile) []string {
+	names := declaredNames(f)
+	slices.Sort(names)
+	return slices.Compact(names)
+}
+
+// planGen computes the plan parts of a store-backed scan of p — each file's
+// closure, closure hash and fingerprint row — carrying them from prev (the
+// project's last generation, may be nil) where provably unchanged: a
+// closure and its hash when every member is the very SourceFile prev's
+// closure held (parse reuse keeps unchanged files pointer-identical), and a
+// fingerprint row when the closure hash is unchanged (the digest and class
+// list are fixed per engine, and equal closure contents give the pre-filter
+// equal answers).
+func (e *Engine) planGen(p *Project, prev *scanGen, prevIdx []int, reach [][]int, pf *prefilter, digest string) *scanGen {
+	g := &scanGen{
+		files:    p.Files,
+		reach:    reach,
+		closures: make([][]*SourceFile, len(p.Files)),
+		cHashes:  make([]string, len(p.Files)),
+		fps:      make([][]string, len(p.Files)),
+	}
+	for fi := range p.Files {
+		o := prevIdx[fi]
+		if o >= 0 && sameMembers(prev.closures[o], reach[fi], p.Files) {
+			g.closures[fi], g.cHashes[fi], g.fps[fi] = prev.closures[o], prev.cHashes[o], prev.fps[o]
+			continue
+		}
+		cl := make([]*SourceFile, len(reach[fi]))
+		for k, j := range reach[fi] {
+			cl[k] = p.Files[j]
+		}
+		h := closureHash(cl)
+		g.closures[fi], g.cHashes[fi] = cl, h
+		if o >= 0 && h == prev.cHashes[o] {
+			g.fps[fi] = prev.fps[o]
+			continue
+		}
+		row := make([]string, len(e.classes))
+		for ci, cls := range e.classes {
+			if pf == nil || pf.sinkReachable(fi, ci) {
+				row[ci] = taskFingerprint(digest, cls.ID, h)
+			}
+		}
+		g.fps[fi] = row
+	}
+	return g
+}
+
+// sameMembers reports whether closure holds exactly files[idx[k]] at each k.
+func sameMembers(closure []*SourceFile, idx []int, files []*SourceFile) bool {
+	if len(closure) != len(idx) {
+		return false
+	}
+	for k, j := range idx {
+		if closure[k] != files[j] {
+			return false
+		}
+	}
+	return true
 }
 
 // planScan builds the scan plan. The (file, class) grid is enumerated in
 // file-major order — the order findings are reported in — and pre-filter
 // skips are accounted exactly as before. With a store attached, each planned
 // task's fingerprint is looked up in the previous snapshot; an entry that
-// decodes cleanly satisfies the task without execution.
+// decodes cleanly satisfies the task without execution. Store-backed scans
+// carry their closures, hashes and fingerprints across scans of the same
+// project (scanGen).
 func (e *Engine) planScan(ctx context.Context, p *Project, store *resultstore.Store, stats *statsCollector) *scanPlan {
+	var (
+		prev      *scanGen
+		prevIdx   []int
+		samePaths bool
+	)
+	if store != nil {
+		prev = e.projectGen(p.Name)
+		prevIdx, samePaths = prev.prevIndex(p)
+	}
 	// The pre-filter and the store fingerprints share one closure
 	// computation.
 	var reach [][]int
 	if !e.opts.DisableSinkPrefilter || store != nil {
-		reach = fileClosures(p)
+		reach = prev.carriedReach(p, samePaths)
 	}
 	var pf *prefilter
 	if !e.opts.DisableSinkPrefilter {
@@ -115,21 +268,28 @@ func (e *Engine) planScan(ctx context.Context, p *Project, store *resultstore.St
 	plan := &scanPlan{store: store}
 	var (
 		snap      *resultstore.Snapshot
-		cHashes   []string
 		ix        *nodeIndexer
-		closures  [][]*SourceFile
-		prevCache map[string]*decodedTask
+		prevTasks map[string]*decodedTask
 	)
 	if store != nil {
 		plan.digest = e.configDigest()
 		snap, plan.loadInfo = store.LoadWithInfoContext(ctx, p.Name, plan.digest)
 		plan.status = plan.loadInfo.Status
-		cHashes = closureHashes(p, reach)
+		plan.next = e.planGen(p, prev, prevIdx, reach, pf, plan.digest)
 		ix = newNodeIndexer(p)
-		closures = make([][]*SourceFile, len(p.Files))
-		prevCache = e.projectCache(p.Name)
+		if prev != nil {
+			prevTasks = prev.tasks
+		}
 	}
 
+	n := len(p.Files) * len(e.classes)
+	if pf != nil {
+		n = pf.reachableTasks(len(p.Files), len(e.classes))
+	}
+	plan.tasks = make([]task, 0, n)
+	plan.reused = make([]*decodedTask, 0, n)
+	plan.fingerprints = make([]string, 0, n)
+	plan.closures = make([][]*SourceFile, 0, n)
 	for fi, file := range p.Files {
 		for ci, cls := range e.classes {
 			if pf != nil && !pf.sinkReachable(fi, ci) {
@@ -139,20 +299,11 @@ func (e *Engine) planScan(ctx context.Context, p *Project, store *resultstore.St
 			i := len(plan.tasks)
 			plan.tasks = append(plan.tasks, task{file: file, cls: cls})
 			plan.reused = append(plan.reused, nil)
-			plan.reusedOK = append(plan.reusedOK, false)
-			plan.entries = append(plan.entries, nil)
 			fp := ""
 			var closure []*SourceFile
 			if store != nil {
-				fp = taskFingerprint(plan.digest, cls.ID, cHashes[fi])
-				if closures[fi] == nil {
-					cl := make([]*SourceFile, len(reach[fi]))
-					for k, j := range reach[fi] {
-						cl[k] = p.Files[j]
-					}
-					closures[fi] = cl
-				}
-				closure = closures[fi]
+				fp = plan.next.fps[fi][ci]
+				closure = plan.next.closures[fi]
 			}
 			plan.fingerprints = append(plan.fingerprints, fp)
 			plan.closures = append(plan.closures, closure)
@@ -161,17 +312,17 @@ func (e *Engine) planScan(ctx context.Context, p *Project, store *resultstore.St
 					stats.recordFingerprintHit()
 					// Fast path: the previous generation already decoded this
 					// entry against the very same parsed files.
-					if ce := prevCache[fp]; ce != nil && sameFiles(ce.closure, closure) {
-						plan.reused[i] = ce.findings
-						plan.reusedOK[i] = true
-						plan.entries[i] = entry
+					if ce := prevTasks[fp]; ce != nil && sameFiles(ce.closure, closure) {
+						if ce.entry != entry {
+							// The snapshot was re-read since: persist what it holds.
+							ce = &decodedTask{closure: closure, findings: ce.findings, entry: entry}
+						}
+						plan.reused[i] = ce
 						stats.recordReused(cls.ID, entry.Steps, len(ce.findings))
 						continue
 					}
 					if fs, ok := ix.decodeTask(entry); ok {
-						plan.reused[i] = fs
-						plan.reusedOK[i] = true
-						plan.entries[i] = entry
+						plan.reused[i] = &decodedTask{closure: closure, findings: fs, entry: entry}
 						stats.recordReused(cls.ID, entry.Steps, len(fs))
 						continue
 					}
@@ -199,16 +350,17 @@ func (e *Engine) persistSnapshot(ctx context.Context, p *Project, plan *scanPlan
 		return
 	}
 	snap := resultstore.NewSnapshot(p.Name, plan.digest)
+	snap.Tasks = make(map[string]*resultstore.TaskEntry, len(plan.tasks))
 	next := make(map[string]*decodedTask, len(plan.tasks))
 	ix := newNodeIndexer(p)
 	for i, t := range plan.tasks {
 		fp := plan.fingerprints[i]
 		switch {
-		case plan.reusedOK[i]:
-			snap.Tasks[fp] = plan.entries[i]
-			next[fp] = &decodedTask{closure: plan.closures[i], findings: plan.reused[i], entry: plan.entries[i]}
+		case plan.reused[i] != nil:
+			snap.Tasks[fp] = plan.reused[i].entry
+			next[fp] = plan.reused[i]
 		case exec.clean[i]:
-			fs, ok := ix.encodeTask(exec.results[i])
+			fs, ok := ix.encodeTask(exec.results[i], plan.closures[i])
 			if !ok {
 				continue
 			}
@@ -220,8 +372,9 @@ func (e *Engine) persistSnapshot(ctx context.Context, p *Project, plan *scanPlan
 			next[fp] = &decodedTask{closure: plan.closures[i], findings: exec.results[i], entry: entry}
 		}
 	}
-	// The in-memory generation mirrors exactly what was persisted, replaced
-	// wholesale so stale fingerprints drop out with the snapshot's.
-	e.setProjectCache(p.Name, next)
+	// The next generation's results mirror exactly what was persisted, so
+	// stale fingerprints drop out with the snapshot's.
+	plan.next.tasks = next
+	e.setProjectGen(p.Name, plan.next)
 	_ = plan.store.SaveContext(ctx, snap)
 }

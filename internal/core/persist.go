@@ -61,7 +61,7 @@ func (c *checkpointer) taskDone(i int, findings []*Finding, steps int, persistab
 	defer c.mu.Unlock()
 	c.done++
 	if persistable {
-		if fs, ok := c.ix.encodeTask(findings); ok {
+		if fs, ok := c.ix.encodeTask(findings, c.plan.closures[i]); ok {
 			t := c.plan.tasks[i]
 			c.fresh[c.plan.fingerprints[i]] = &resultstore.TaskEntry{
 				File: t.file.Path, Class: string(t.cls.ID),
@@ -79,9 +79,9 @@ func (c *checkpointer) taskDone(i int, findings []*Finding, steps int, persistab
 // holds c.mu.
 func (c *checkpointer) save() {
 	snap := resultstore.NewSnapshot(c.p.Name, c.plan.digest)
-	for i, ok := range c.plan.reusedOK {
-		if ok {
-			snap.Tasks[c.plan.fingerprints[i]] = c.plan.entries[i]
+	for i, r := range c.plan.reused {
+		if r != nil {
+			snap.Tasks[c.plan.fingerprints[i]] = r.entry
 		}
 	}
 	for fp, entry := range c.fresh {
@@ -145,8 +145,11 @@ func (ix *nodeIndexer) build(path string) bool {
 	return true
 }
 
-// ref addresses n within file. A nil node encodes as index -1.
-func (ix *nodeIndexer) ref(file string, n ast.Node) (resultstore.NodeRef, bool) {
+// ref addresses n within file, or — for trace steps in inlined callees —
+// within another member of closure, the task's reachable closure: only
+// those files can declare a callee the task inlined. A node found nowhere
+// is not addressable. A nil node encodes as index -1.
+func (ix *nodeIndexer) ref(file string, n ast.Node, closure []*SourceFile) (resultstore.NodeRef, bool) {
 	if n == nil {
 		return resultstore.NodeRef{Index: -1}, true
 	}
@@ -155,9 +158,7 @@ func (ix *nodeIndexer) ref(file string, n ast.Node) (resultstore.NodeRef, bool) 
 			return resultstore.NodeRef{File: file, Index: i}, true
 		}
 	}
-	// Trace steps can reference nodes in other files (inlined callees);
-	// fall back to the step's own file before giving up.
-	for _, sf := range ix.p.Files {
+	for _, sf := range closure {
 		if sf.Path == file || !ix.build(sf.Path) {
 			continue
 		}
@@ -191,20 +192,21 @@ func decodePos(p resultstore.Position) token.Position {
 	return token.Position{File: p.File, Offset: p.Offset, Line: p.Line, Column: p.Column}
 }
 
-// encodeTask serializes one task's findings. ok is false when any node could
-// not be addressed; the caller must then skip persisting the task.
-func (ix *nodeIndexer) encodeTask(findings []*Finding) ([]resultstore.Finding, bool) {
+// encodeTask serializes one task's findings; closure is the task's
+// reachable closure. ok is false when any node could not be addressed; the
+// caller must then skip persisting the task.
+func (ix *nodeIndexer) encodeTask(findings []*Finding, closure []*SourceFile) ([]resultstore.Finding, bool) {
 	if len(findings) == 0 {
 		return nil, true
 	}
 	out := make([]resultstore.Finding, 0, len(findings))
 	for _, f := range findings {
 		c := f.Candidate
-		sinkRef, ok := ix.ref(c.File, c.SinkCall)
+		sinkRef, ok := ix.ref(c.File, c.SinkCall, closure)
 		if !ok {
 			return nil, false
 		}
-		exprRef, ok := ix.ref(c.File, c.TaintedExpr)
+		exprRef, ok := ix.ref(c.File, c.TaintedExpr, closure)
 		if !ok {
 			return nil, false
 		}
@@ -216,7 +218,7 @@ func (ix *nodeIndexer) encodeTask(findings []*Finding) ([]resultstore.Finding, b
 			val.Sources = append(val.Sources, resultstore.Source{Name: s.Name, Pos: encodePos(s.Pos)})
 		}
 		for _, st := range c.Value.Trace {
-			nodeRef, ok := ix.ref(st.Pos.File, st.Node)
+			nodeRef, ok := ix.ref(st.Pos.File, st.Node, closure)
 			if !ok {
 				return nil, false
 			}

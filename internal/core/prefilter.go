@@ -301,6 +301,20 @@ func (pf *prefilter) sinkReachable(fileIdx, classIdx int) bool {
 	return false
 }
 
+// reachableTasks counts the tasks of a files × classes grid that
+// sinkReachable keeps.
+func (pf *prefilter) reachableTasks(files, classes int) int {
+	n := 0
+	for fi := 0; fi < files; fi++ {
+		for ci := 0; ci < classes; ci++ {
+			if pf.sinkReachable(fi, ci) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // fileClosures computes, per file index, the set of files reachable through
 // the static call-name graph (self included): every file declaring a
 // callable name that the closure's files mention. This is exactly the file

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/intern"
-	"repro/internal/ir"
 	"repro/internal/php/ast"
 	"repro/internal/php/parser"
 )
@@ -111,37 +110,40 @@ type Project struct {
 	// informational: it never influences analysis output.
 	LoadStats LoadStats
 
-	funcs   map[string]*ast.FunctionDecl
-	methods map[string]*ast.FunctionDecl
-	byPath  map[string]*SourceFile
+	// funcs and methods resolve callable names to the index in Files of the
+	// declaring file (methods also to the winning Class::m key), and byPath
+	// resolves paths. The tables name no AST node, so a rescan whose edits
+	// keep every file's declared keys shares them as they are.
+	funcs   map[string]int32
+	methods map[string]methodRef
+	byPath  map[string]int
 	// ambig holds callable names declared more than once project-wide
 	// (functions and methods conflated, conservatively): resolving such a
 	// name from different files can yield different declarations, so taint
 	// summaries that touched one are never shared across tasks.
 	ambig map[string]bool
-
-	// irOnce/irCache lazily hold the project's IR lowering cache: each file
-	// is lowered to the CFG-based form once and shared read-only across all
-	// weapon-class tasks (and across repeated scans of the same Project).
-	irOnce  sync.Once
-	irCache *ir.Cache
 }
 
-// IRCache returns the project's shared IR lowering cache, creating it on
-// first use. Safe for concurrent callers.
-func (p *Project) IRCache() *ir.Cache {
-	p.irOnce.Do(func() { p.irCache = ir.NewCache() })
-	return p.irCache
+// methodRef locates the declaration a bare method name resolves to.
+type methodRef struct {
+	file int32
+	key  string
 }
 
 // ResolveFunc implements taint.FuncResolver.
 func (p *Project) ResolveFunc(name string) *ast.FunctionDecl {
-	return p.funcs[name]
+	if i, ok := p.funcs[name]; ok {
+		return p.Files[i].AST.Funcs[name]
+	}
+	return nil
 }
 
 // ResolveMethod implements taint.FuncResolver.
 func (p *Project) ResolveMethod(name string) *ast.FunctionDecl {
-	return p.methods[name]
+	if m, ok := p.methods[name]; ok {
+		return p.Files[m.file].AST.Funcs[m.key]
+	}
+	return nil
 }
 
 // AmbiguousCallable implements taint.AmbiguityReporter: it reports whether
@@ -162,7 +164,10 @@ func (p *Project) TotalLines() int {
 // File returns the source file with the given path, or nil.
 func (p *Project) File(path string) *SourceFile {
 	if p.byPath != nil {
-		return p.byPath[path]
+		if i, ok := p.byPath[path]; ok {
+			return p.Files[i]
+		}
+		return nil
 	}
 	// Fallback for hand-assembled projects that never called index().
 	for _, f := range p.Files {
@@ -179,11 +184,11 @@ func LoadMap(name string, files map[string]string) *Project {
 	return LoadMapOptions(name, files, LoadOptions{})
 }
 
-// LoadMapIncremental is LoadMap with parse reuse: files whose content hashes
-// identically to the same path in prev adopt prev's parsed SourceFile
-// (ASTs are immutable after parse, so sharing them across projects is safe)
-// instead of re-parsing. The project-wide indexes are rebuilt either way.
-// prev may be nil.
+// LoadMapIncremental is LoadMap with parse reuse: files whose bytes equal
+// the same path's in prev adopt prev's parsed SourceFile (ASTs are
+// immutable after parse, so sharing them across projects is safe) instead
+// of re-parsing, and the project-wide indexes are derived from prev's when
+// no declaration changed (see buildIndex). prev may be nil.
 func LoadMapIncremental(name string, files map[string]string, prev *Project) *Project {
 	return LoadMapOptions(name, files, LoadOptions{Prev: prev})
 }
@@ -204,7 +209,7 @@ func LoadMapOptions(name string, files map[string]string, opts LoadOptions) *Pro
 	p := &Project{Name: name}
 	// In-memory loads perform no IO and take no context, so they cannot fail.
 	_ = p.runSlots(context.Background(), slots, opts)
-	p.index()
+	p.buildIndex(opts.Prev)
 	return p
 }
 
@@ -219,9 +224,10 @@ type LoadOptions struct {
 	// MaxFileSize is the per-file size cap in bytes; 0 means
 	// DefaultMaxFileSize, negative means unlimited.
 	MaxFileSize int64
-	// Prev, when set, enables parse reuse: a file whose bytes hash
-	// identically to the same path in Prev adopts Prev's parsed SourceFile
-	// instead of re-parsing. Used by incremental rescans of the same tree.
+	// Prev, when set, enables parse reuse: a file whose bytes equal the
+	// same path's in Prev adopts Prev's parsed SourceFile instead of
+	// re-parsing, and the project indexes are derived from Prev's when no
+	// declaration changed. Used by incremental rescans of the same tree.
 	Prev *Project
 	// Parallelism bounds concurrent read+parse workers; 0 uses GOMAXPROCS
 	// capped at 8 (matching Options.Parallelism), 1 forces a sequential
@@ -336,7 +342,7 @@ func LoadDirContext(ctx context.Context, name, dir string, opts LoadOptions) (*P
 	if err := p.runSlots(ctx, slots, opts); err != nil {
 		return nil, fmt.Errorf("core: load %s: %w", dir, err)
 	}
-	p.index()
+	p.buildIndex(opts.Prev)
 	return p, nil
 }
 
@@ -435,45 +441,44 @@ func (p *Project) runSlots(ctx context.Context, slots []loadSlot, opts LoadOptio
 	return nil
 }
 
-// executeSlot loads one file: read (for dir loads), hash, then either adopt
-// prev's byte-identical parse — memoized artifacts (called names, sink
-// token mask) travel with the reused SourceFile — or parse fresh through the
-// shared intern table.
+// executeSlot loads one file: read (for dir loads), then either adopt prev's
+// parse of byte-identical source — memoized artifacts (called names, sink
+// token mask) travel with the reused SourceFile, and so does its Hash, so an
+// unchanged file is never hashed again — or hash and parse fresh through the
+// shared intern table. Byte equality is a stronger reuse test than hash
+// equality, and a source string compared with itself — a caller passing the
+// same map values again — matches without reading its bytes.
 func executeSlot(s *loadSlot, prev *Project, tab *intern.Table) loadResult {
+	var old *SourceFile
+	if prev != nil {
+		old = prev.File(s.rel)
+	}
 	src := s.src
+	var data []byte
 	if s.read {
-		data, err := os.ReadFile(s.abs)
+		var err error
+		data, err = os.ReadFile(s.abs)
 		if err != nil {
 			return loadResult{skipDiag: &Diagnostic{
 				File: s.rel, Kind: DiagLoadSkipped,
 				Message: fmt.Sprintf("unreadable: %v", err),
 			}}
 		}
-		src = string(data)
-	}
-	sum := sha256.Sum256([]byte(src))
-	if prev != nil {
-		if old := prev.File(s.rel); old != nil && old.Hash == sum {
-			res := loadResult{sf: old}
-			if old.Degraded {
-				for _, e := range old.ParseErrs {
-					if e.Degraded {
-						res.degraded = &Diagnostic{
-							File: s.rel, Kind: DiagParseDegraded,
-							Message: e.Msg,
-						}
-						break
-					}
-				}
-			}
-			return res
+		if old != nil && string(data) == old.Src {
+			return reuseFile(old)
 		}
+		src = string(data)
+	} else {
+		if old != nil && src == old.Src {
+			return reuseFile(old)
+		}
+		data = []byte(src)
 	}
 	f, errs := parser.ParseInterned(s.rel, src, tab)
 	sf := &SourceFile{
 		Path:      s.rel,
 		Src:       src,
-		Hash:      sum,
+		Hash:      sha256.Sum256(data),
 		AST:       f,
 		ParseErrs: errs,
 		Lines:     strings.Count(src, "\n") + 1,
@@ -492,6 +497,24 @@ func executeSlot(s *loadSlot, prev *Project, tab *intern.Table) loadResult {
 	return res
 }
 
+// reuseFile adopts a previous load's parse, re-raising its parse-degraded
+// diagnostic.
+func reuseFile(old *SourceFile) loadResult {
+	res := loadResult{sf: old}
+	if old.Degraded {
+		for _, e := range old.ParseErrs {
+			if e.Degraded {
+				res.degraded = &Diagnostic{
+					File: old.Path, Kind: DiagParseDegraded,
+					Message: e.Msg,
+				}
+				break
+			}
+		}
+	}
+	return res
+}
+
 // relPath makes path relative to dir, preserving the original casing.
 func relPath(dir, path string) string {
 	rel, err := filepath.Rel(dir, path)
@@ -501,28 +524,73 @@ func relPath(dir, path string) string {
 	return rel
 }
 
-// index builds the project-wide function, method, path and ambiguity tables.
+// buildIndex builds the project-wide tables, sharing prev's when they are
+// provably equal (deriveIndex) and indexing from scratch otherwise.
+func (p *Project) buildIndex(prev *Project) {
+	if !p.deriveIndex(prev) {
+		p.index()
+	}
+}
+
+// deriveIndex shares prev's tables when the path list is unchanged and every
+// re-parsed file declares exactly the keys its previous version did: the
+// tables depend only on each file's path and declared keys, in file order,
+// so they are then equal to what index would build. It reports false,
+// touching nothing, when it cannot apply.
+func (p *Project) deriveIndex(prev *Project) bool {
+	if prev == nil || prev.byPath == nil || len(prev.Files) != len(p.Files) {
+		return false
+	}
+	for i, f := range p.Files {
+		old := prev.Files[i]
+		if f != old && (f.Path != old.Path || !sameKeys(f.AST.Funcs, old.AST.Funcs)) {
+			return false
+		}
+	}
+	// The tables are read-only once built.
+	p.funcs, p.methods, p.byPath, p.ambig = prev.funcs, prev.methods, prev.byPath, prev.ambig
+	return true
+}
+
+// sameKeys reports whether a and b have the same key set.
+func sameKeys(a, b map[string]*ast.FunctionDecl) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for k := range a {
+		if _, ok := b[k]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// index builds the project-wide function, method, path and ambiguity tables:
+// the first declaring file wins for functions and bare method names, the
+// last one for Class::m keys.
 func (p *Project) index() {
-	p.funcs = make(map[string]*ast.FunctionDecl)
-	p.methods = make(map[string]*ast.FunctionDecl)
-	p.byPath = make(map[string]*SourceFile, len(p.Files))
+	p.funcs = make(map[string]int32)
+	p.methods = make(map[string]methodRef)
+	p.byPath = make(map[string]int, len(p.Files))
 	counts := make(map[string]int)
-	for _, f := range p.Files {
-		p.byPath[f.Path] = f
-		for key, fn := range f.AST.Funcs {
-			if strings.Contains(key, "::") {
+	for i, f := range p.Files {
+		p.byPath[f.Path] = i
+		for key := range f.AST.Funcs {
+			if j := strings.Index(key, "::"); j >= 0 {
 				// Method key Class::name; also index by bare name.
-				parts := strings.SplitN(key, "::", 2)
-				counts[parts[1]]++
-				if _, exists := p.methods[parts[1]]; !exists {
-					p.methods[parts[1]] = fn
+				bare := key[j+2:]
+				counts[bare]++
+				// Among one file's same-named methods the smallest key
+				// wins, so the choice never depends on map order.
+				if m, exists := p.methods[bare]; !exists || m.file == int32(i) && key < m.key {
+					p.methods[bare] = methodRef{int32(i), key}
 				}
-				p.funcs[key] = fn
+				p.funcs[key] = int32(i)
 				continue
 			}
 			counts[key]++
 			if _, exists := p.funcs[key]; !exists {
-				p.funcs[key] = fn
+				p.funcs[key] = int32(i)
 			}
 		}
 	}

@@ -296,3 +296,21 @@ func TestLoadDirSymlinks(t *testing.T) {
 		}
 	}
 }
+
+// TestResolveMethodDeterministic pins which declaration a bare method name
+// resolves to when one file declares it in two classes: the smallest
+// Class::m key, on every load, not whichever key map iteration yields first.
+func TestResolveMethodDeterministic(t *testing.T) {
+	files := map[string]string{
+		"a.php": `<?php class Zed { function run($x) { return $x; } }
+class Alpha { function run($x) { return 1; } }`,
+		"b.php": `<?php class Beta { function run($x) { return 2; } }`,
+	}
+	for i := 0; i < 32; i++ {
+		p := LoadMap("app", files)
+		got := p.ResolveMethod("run")
+		if want := p.File("a.php").AST.Funcs["alpha::run"]; got != want {
+			t.Fatalf("load %d: run resolved to %p, want alpha::run %p", i, got, want)
+		}
+	}
+}

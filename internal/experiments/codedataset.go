@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dataset"
+	"repro/internal/ir"
 	"repro/internal/ml"
 	"repro/internal/report"
 	"repro/internal/symptom"
@@ -34,7 +35,7 @@ func BuildCodeDrivenDataset(seed int64) (*ml.Dataset, error) {
 			continue
 		}
 		proj := core.LoadMap(app.Name, app.Files)
-		irc := proj.IRCache()
+		irc := ir.NewCache()
 		sx := extractor.NewScan()
 		cfgs := make([]taint.Config, len(classes))
 		for i, cls := range classes {

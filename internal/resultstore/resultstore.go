@@ -43,6 +43,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -308,12 +309,11 @@ type Store struct {
 
 	mu    sync.Mutex
 	cache map[string]*cachedSnapshot
-	// encCache holds, per project, the serialized bytes of each task entry
-	// written by the last Save, keyed by entry pointer. Incremental saves
-	// re-persist most entries verbatim (the engine shares the pointers), so
-	// their bytes are spliced instead of re-marshaled. Replaced wholesale
-	// each Save, so dropped entries don't accumulate.
-	encCache map[string]map[*TaskEntry]json.RawMessage
+	// encCache holds, per project, what the last Save serialized.
+	// Incremental saves re-persist most entries verbatim (the engine shares
+	// the pointers), so their bytes are spliced instead of re-marshaled.
+	// Replaced wholesale each Save, so dropped entries don't accumulate.
+	encCache map[string]*encoded
 
 	wb *writeBehind
 
@@ -355,7 +355,7 @@ func OpenOptions(dir string, opts Options) (*Store, error) {
 		backend:  opts.Backend,
 		maxBytes: opts.MaxBytes,
 		cache:    make(map[string]*cachedSnapshot),
-		encCache: make(map[string]map[*TaskEntry]json.RawMessage),
+		encCache: make(map[string]*encoded),
 	}
 	if db, ok := opts.Backend.(*DiskBackend); ok {
 		s.dir = db.Dir()
@@ -731,22 +731,36 @@ func (s *Store) enforceCap(ctx context.Context, keep string) {
 	}
 }
 
+// encoded is the last Save's serialization of one project.
+type encoded struct {
+	// entries holds each task entry's bytes, keyed by entry pointer.
+	entries map[*TaskEntry]json.RawMessage
+	// size is the blob's length, the next encode's buffer size hint.
+	size int
+}
+
 // encode serializes the snapshot, splicing the bytes of entries unchanged
 // since the last Save (pointer-identical) instead of re-marshaling them. The
-// assembled document is byte-compatible with json.Marshal of Snapshot:
-// fingerprint keys are hex (no escaping concerns) and emitted sorted, as
-// encoding/json sorts map keys. The loop observes ctx between entries.
+// assembled document is byte-identical to json.Marshal of Snapshot:
+// fingerprint keys are emitted sorted, as encoding/json sorts map keys, and
+// written as they are when json.Marshal would not escape them (always, for
+// the engine's hex fingerprints). The loop observes ctx between entries.
 // Caller holds s.mu.
 func (s *Store) encode(ctx context.Context, snap *Snapshot) ([]byte, error) {
-	prev := s.encCache[snap.Project]
+	var prev map[*TaskEntry]json.RawMessage
+	size := 0
+	if last := s.encCache[snap.Project]; last != nil {
+		prev = last.entries
+		size = last.size + last.size/8
+	}
 	next := make(map[*TaskEntry]json.RawMessage, len(snap.Tasks))
 	fps := make([]string, 0, len(snap.Tasks))
 	for fp := range snap.Tasks {
 		fps = append(fps, fp)
 	}
-	sort.Strings(fps)
+	slices.Sort(fps)
 
-	var buf bytes.Buffer
+	buf := bytes.NewBuffer(make([]byte, 0, size))
 	head, err := json.Marshal(struct {
 		Version      int    `json:"version"`
 		Project      string `json:"project"`
@@ -766,11 +780,17 @@ func (s *Store) encode(ctx context.Context, snap *Snapshot) ([]byte, error) {
 		if i > 0 {
 			buf.WriteByte(',')
 		}
-		key, err := json.Marshal(fp)
-		if err != nil {
-			return nil, err
+		if plainJSONString(fp) {
+			buf.WriteByte('"')
+			buf.WriteString(fp)
+			buf.WriteByte('"')
+		} else {
+			key, err := json.Marshal(fp)
+			if err != nil {
+				return nil, err
+			}
+			buf.Write(key)
 		}
-		buf.Write(key)
 		buf.WriteByte(':')
 		entry := snap.Tasks[fp]
 		raw, ok := prev[entry]
@@ -784,6 +804,28 @@ func (s *Store) encode(ctx context.Context, snap *Snapshot) ([]byte, error) {
 		next[entry] = raw
 	}
 	buf.WriteString("}}")
-	s.encCache[snap.Project] = next
+	s.encCache[snap.Project] = &encoded{entries: next, size: buf.Len()}
 	return buf.Bytes(), nil
 }
+
+// plainJSONString reports whether json.Marshal renders str as itself in
+// quotes: printable ASCII holding nothing encoding/json escapes.
+func plainJSONString(str string) bool {
+	for i := 0; i < len(str); i++ {
+		if !jsonPlain[str[i]] {
+			return false
+		}
+	}
+	return true
+}
+
+// jsonPlain marks the bytes json.Marshal writes unescaped inside a string.
+var jsonPlain = func() (t [256]bool) {
+	for c := 0x20; c < 0x7f; c++ {
+		t[c] = true
+	}
+	for _, c := range []byte(`"\<>&`) {
+		t[c] = false
+	}
+	return t
+}()

@@ -1,6 +1,9 @@
 package resultstore
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -136,4 +139,53 @@ func TestHostileProjectNames(t *testing.T) {
 			t.Errorf("project %q mapped outside the store: %s", name, p)
 		}
 	}
+}
+
+// TestEncodeMatchesMarshal pins the encoder's claim: the blob Save writes is
+// byte-identical to json.Marshal of the snapshot, whether every entry is
+// marshaled fresh, some are spliced from the previous save's bytes, or the
+// previous save held entries the new one drops. Keys that json.Marshal
+// escapes take the escaping path.
+func TestEncodeMatchesMarshal(t *testing.T) {
+	mem := NewMemBackend()
+	store, err := OpenBackend(mem, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, snap *Snapshot) {
+		t.Helper()
+		if err := store.Save(snap); err != nil {
+			t.Fatal(err)
+		}
+		got, err := mem.Get(context.Background(), store.key(snap.Project))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: encoded blob differs from json.Marshal:\ngot:  %s\nwant: %s", step, got, want)
+		}
+	}
+
+	first := testSnapshot("app", "digest-1")
+	first.Tasks["<fp&3>"] = &TaskEntry{File: "c.php", Class: "xss", Steps: 1}
+	first.Tasks["e9 "] = &TaskEntry{File: "d.php", Class: "sqli", Steps: 2}
+	check("fresh", first)
+
+	// Reused entries are the same pointers, so their bytes are spliced.
+	spliced := NewSnapshot("app", "digest-1")
+	for fp, e := range first.Tasks {
+		spliced.Tasks[fp] = e
+	}
+	spliced.Tasks["fp0"] = &TaskEntry{File: "z.php", Class: "sqli", Steps: 3}
+	check("splice", spliced)
+
+	dropped := NewSnapshot("app", "digest-1")
+	dropped.Tasks["fp2"] = spliced.Tasks["fp2"]
+	check("drop", dropped)
+
+	check("empty", NewSnapshot("app", "digest-1"))
 }
