@@ -274,6 +274,9 @@ func BenchmarkParser(b *testing.B) {
 	}
 }
 
+// BenchmarkTaintSingleClass runs one class's taint pass over every file of
+// the bench app. Steady-state: the Project is loaded once and reused, so
+// lex and parse are outside the loop (each iteration still lowers).
 func BenchmarkTaintSingleClass(b *testing.B) {
 	app := benchApp()
 	proj := core.LoadMap(app.Name, app.Files)
@@ -286,6 +289,9 @@ func BenchmarkTaintSingleClass(b *testing.B) {
 	}
 }
 
+// BenchmarkAnalyzeApp scans the bench app with the default engine.
+// Steady-state: every iteration rescans one reused Project, so lex and
+// parse are outside the loop; a cold scan is cold-large in perfbench.
 func BenchmarkAnalyzeApp(b *testing.B) {
 	app := benchApp()
 	eng, err := core.New(core.Options{Mode: core.ModeWAPe, Seed: 1})
@@ -308,14 +314,14 @@ func BenchmarkAnalyzeApp(b *testing.B) {
 // cache and the sink pre-filter disabled — the PR-1 baseline. The ratio
 // between the two is the observable speedup of the caching layer; findings
 // are identical either way (TestFindingsIdenticalCacheOnOff in
-// internal/core).
+// internal/core). Steady-state, like BenchmarkAnalyzeApp.
 func BenchmarkAnalyzeAppUncached(b *testing.B) {
 	benchAnalyzeUncached(b)
 }
 
 // BenchmarkAnalyzeAppUncachedFused is the same uncached scan, kept under the
 // name its bench trajectory was recorded with (it once had a per-class
-// counterpart; every scan is fused now).
+// counterpart; every scan is fused now). Steady-state.
 func BenchmarkAnalyzeAppUncachedFused(b *testing.B) {
 	benchAnalyzeUncached(b)
 }
@@ -430,7 +436,8 @@ func benchWarmRescan(b *testing.B, app *corpus.App) {
 
 // BenchmarkLargeAppThroughput measures full-pipeline throughput on a
 // Play_sms-scale application (the paper's largest package was ~249k lines),
-// reporting bytes/sec over the source corpus.
+// reporting bytes/sec over the source corpus. Steady-state: every iteration
+// rescans one reused Project, so the front end is outside the loop.
 func BenchmarkLargeAppThroughput(b *testing.B) {
 	app := corpus.LargeApp(1, 120, 40)
 	eng, err := core.New(core.Options{Mode: core.ModeWAPe, Seed: 1})

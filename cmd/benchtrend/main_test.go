@@ -213,3 +213,31 @@ func TestCompareWarmScalingLine(t *testing.T) {
 		t.Errorf("scaling line printed without the large benchmark:\n%s", out.String())
 	}
 }
+
+// TestCompareLabelsSteadyState pins the steady-state label: benchmarks that
+// rescan one reused Project are marked in every dimension, under their
+// unchanged names, and the others are not.
+func TestCompareLabelsSteadyState(t *testing.T) {
+	e := entry{
+		Date: "d",
+		Benchmarks: map[string]float64{
+			"BenchmarkAnalyzeApp":                8e6,
+			"BenchmarkAnalyzeAppIncrementalCold": 125e6,
+		},
+		BytesPerOp: map[string]float64{"BenchmarkAnalyzeApp": 2e5},
+	}
+	var out bytes.Buffer
+	compare([]entry{e, e}, 0.10, &out)
+	for _, line := range strings.Split(out.String(), "\n") {
+		fields := strings.Fields(line)
+		if len(fields) == 0 || !strings.HasPrefix(fields[0], "Benchmark") {
+			continue
+		}
+		if got, want := strings.Contains(line, "[steady-state]"), fields[0] == "BenchmarkAnalyzeApp"; got != want {
+			t.Errorf("steady-state label = %v, want %v: %q", got, want, line)
+		}
+	}
+	if n := strings.Count(out.String(), "BenchmarkAnalyzeApp  "); n != 2 {
+		t.Errorf("BenchmarkAnalyzeApp printed %d times, want 2 (ns/op and B/op):\n%s", n, out.String())
+	}
+}

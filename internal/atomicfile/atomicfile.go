@@ -15,18 +15,6 @@ import (
 // rename is atomic on POSIX filesystems; on any error the temp file is
 // removed and the previous contents of path are untouched.
 func WriteFile(path string, data []byte, perm os.FileMode) (err error) {
-	return writeFile(path, data, perm, true)
-}
-
-// WriteFileNoSync is WriteFile without the pre-rename fsync. Readers still
-// never observe a torn file (temp + rename), but after a power failure the
-// target may come back empty or stale. Use it only for artifacts that are
-// safe to lose and rebuild — caches, not user data.
-func WriteFileNoSync(path string, data []byte, perm os.FileMode) (err error) {
-	return writeFile(path, data, perm, false)
-}
-
-func writeFile(path string, data []byte, perm os.FileMode, sync bool) (err error) {
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."
@@ -50,10 +38,8 @@ func writeFile(path string, data []byte, perm os.FileMode, sync bool) (err error
 	if err = tmp.Chmod(perm); err != nil {
 		return err
 	}
-	if sync {
-		if err = tmp.Sync(); err != nil {
-			return err
-		}
+	if err = tmp.Sync(); err != nil {
+		return err
 	}
 	if err = tmp.Close(); err != nil {
 		return err

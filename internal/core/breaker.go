@@ -40,7 +40,8 @@ type BreakerStatus struct {
 // jobs trips open so one pathological weapon cannot keep consuming the
 // worker pool, and recovers via a half-open probe after the cool-down.
 // Breakers only ever skip tasks (diagnostics-only degradation); findings
-// for every other class are unaffected.
+// for every other class are unaffected. A nil *classBreakers (breakers
+// disabled) admits every task and ignores every outcome.
 type classBreakers struct {
 	mu        sync.Mutex
 	threshold int
@@ -82,6 +83,9 @@ func (b *classBreakers) entry(id vuln.ClassID) *breakerEntry {
 // disposition back via recordSuccess, recordFault or releaseProbe so the
 // probe slot is never leaked.
 func (b *classBreakers) allow(id vuln.ClassID) (ok, probe bool) {
+	if b == nil {
+		return true, false
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	en := b.entry(id)
@@ -107,6 +111,9 @@ func (b *classBreakers) allow(id vuln.ClassID) (ok, probe bool) {
 // recordSuccess notes a cleanly completed task: the consecutive-fault count
 // resets and a successful probe closes the breaker.
 func (b *classBreakers) recordSuccess(id vuln.ClassID, probe bool) {
+	if b == nil {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	en := b.entry(id)
@@ -119,6 +126,9 @@ func (b *classBreakers) recordSuccess(id vuln.ClassID, probe bool) {
 // already exhausted). A failed probe re-opens immediately; otherwise the
 // breaker opens once the consecutive-fault count reaches the threshold.
 func (b *classBreakers) recordFault(id vuln.ClassID, probe bool) {
+	if b == nil {
+		return
+	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	en := b.entry(id)
@@ -142,7 +152,7 @@ func (b *classBreakers) recordFault(id vuln.ClassID, probe bool) {
 // abandoned by scan cancellation (neither a success nor a class fault), so
 // the next task can probe instead of waiting out another cool-down.
 func (b *classBreakers) releaseProbe(id vuln.ClassID, probe bool) {
-	if !probe {
+	if b == nil || !probe {
 		return
 	}
 	b.mu.Lock()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"sync"
 	"testing"
@@ -130,5 +131,50 @@ func TestCheckpointsOffByDefault(t *testing.T) {
 	}
 	if rep.Stats.Checkpoints != 0 {
 		t.Errorf("Stats.Checkpoints = %d, want 0", rep.Stats.Checkpoints)
+	}
+}
+
+// TestCheckpointBlobMatchesPlainScan pins the single encode path: a task
+// that completes cleanly on its first attempt is encoded once, at
+// completion, and mid-scan checkpoints and the final persist both build
+// their snapshots from those entries. On a corpus of multi-lane file groups
+// the final snapshot blob must therefore be byte-identical whether the scan
+// checkpointed after every disposition or never, at sequential and parallel
+// schedules. No file calls into another, so no shared summary crosses tasks
+// and the persisted step counts do not depend on the schedule.
+func TestCheckpointBlobMatchesPlainScan(t *testing.T) {
+	files := map[string]string{
+		"a.php": `<?php $id = $_GET['id']; mysql_query("SELECT * FROM t WHERE id=" . $id); echo $id;`,
+		"b.php": `<?php function show($v) { echo "<b>" . $v . "</b>"; }
+show($_POST['n']); mysql_query("DELETE FROM t WHERE n=" . $_POST['n']);`,
+		"c.php": `<?php $q = $_COOKIE['c']; echo htmlentities($q); mysql_query("SELECT " . mysql_real_escape_string($q));`,
+		"d.php": `<?php echo $_GET['x'];`,
+	}
+	for _, par := range []int{1, 3} {
+		var blobs [2][]byte
+		for k, every := range []int{0, 1} {
+			opts := incrementalOpts()
+			opts.Parallelism = par
+			dir := t.TempDir()
+			rep, err := newTestEngine(t, opts).AnalyzeScan(context.Background(), LoadMap("app", files), ScanOpts{
+				Store:           openTestStore(t, dir),
+				CheckpointEvery: every,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Stats.FusedPasses == 0 || len(rep.Findings) == 0 {
+				t.Fatalf("parallelism %d: %d fused passes, %d findings; blob check is vacuous",
+					par, rep.Stats.FusedPasses, len(rep.Findings))
+			}
+			if every > 0 && rep.Stats.Checkpoints == 0 {
+				t.Fatalf("parallelism %d: no checkpoint was saved; blob check is vacuous", par)
+			}
+			blobs[k] = storeBlob(t, dir)
+		}
+		if !bytes.Equal(blobs[0], blobs[1]) {
+			t.Errorf("parallelism %d: final snapshot differs with checkpoints (%d vs %d bytes)",
+				par, len(blobs[1]), len(blobs[0]))
+		}
 	}
 }

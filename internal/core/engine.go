@@ -7,6 +7,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -457,16 +458,22 @@ type task struct {
 	cls  *vuln.Class
 }
 
-// taskOutcome is what one task hands back to its worker.
+// lane is one breaker-admitted task of a file group; probe marks the task
+// running as its class's half-open probe.
+type lane struct {
+	idx   int // index into scanPlan.tasks
+	probe bool
+}
+
+// taskOutcome is what one lane of a pass hands back to its worker.
 type taskOutcome struct {
 	findings  []*Finding
 	exhausted bool // step budget ran out; findings are a sound prefix
-	stopped   bool // cut off by the cooperative stop flag
 	panicVal  string
 	stack     string
 
 	// Scan accounting and shared-cache produce. pending is committed by the
-	// worker only when the task completed cleanly (none of the flags above),
+	// worker only when the task completed cleanly (neither flag above set),
 	// so a faulting task can never poison the cache.
 	steps       int
 	cacheHits   int
@@ -477,6 +484,9 @@ type taskOutcome struct {
 	transfers int
 	pending   []taint.PendingSummary
 }
+
+// faulted reports whether the lane's pass panicked or stopped early.
+func (o taskOutcome) faulted() bool { return o.panicVal != "" || o.exhausted }
 
 // AnalyzeContext runs the full pipeline under a context, in three stages:
 // plan (enumerate tasks; with a result store attached, satisfy closure-
@@ -538,7 +548,7 @@ type ScanOpts struct {
 	// OnCheckpoint, when set, runs after each successful checkpoint save
 	// with the dispositioned and total execution-task counts. The scan
 	// service journals a task-checkpoint record here. Called from a worker
-	// goroutine, serialized by the checkpointer's lock.
+	// goroutine, serialized with every other task disposition.
 	OnCheckpoint func(done, total int)
 	// Resumes is how many crashed attempts of this same job preceded this
 	// scan; it flows into Stats for the durability account.
@@ -586,19 +596,17 @@ func (e *Engine) AnalyzeScan(ctx context.Context, p *Project, so ScanOpts) (*Rep
 	return e.mergeScan(ctx, plan, exec, stats, rep, start)
 }
 
-// execState is the execute stage's output. results/clean/steps are aligned
+// execState is the execute stage's output. results and entries are aligned
 // with plan.tasks; slots of reused tasks stay zero (the merge stage splices
 // plan.reused over them).
 type execState struct {
 	results [][]*Finding
-	// clean marks tasks that completed cleanly on their first attempt — the
-	// only tasks persistSnapshot may store. A recovery on a later ladder
-	// attempt is deliberately excluded: a task that needed retries faulted
-	// under this exact input, so it re-executes next scan too.
-	clean []bool
-	// steps is the step count of task i's clean first attempt, persisted
-	// so later scans can account the work a reuse saves.
-	steps     []int
+	// entries holds, with a store attached, the snapshot entry of every task
+	// that completed cleanly on its first attempt — the only executed tasks
+	// a snapshot may store. A recovery on a later ladder attempt is
+	// deliberately excluded: a task that needed retries faulted under this
+	// exact input, so it re-executes next scan too.
+	entries   []*resultstore.TaskEntry
 	taskDiags []Diagnostic
 	// executed/completed count execution-queue tasks only (reused tasks are
 	// never incomplete), for the cancellation diagnostic's accounting.
@@ -611,13 +619,17 @@ type execState struct {
 	irc *ir.Cache
 }
 
-// executePlan runs the plan's execution queue through the worker pool and
-// fault-isolation machinery.
+// executePlan runs the plan's execution queue through the worker pool. A
+// worker takes one file group at a time through a single execute path:
+// admit (breaker admission), attempt (one pass over the admitted lanes,
+// fault-contained), complete (the clean-completion disposition) and ladder
+// (the one-lane retry ladder). A group of two or more admitted lanes makes
+// one fused pass; any fault inside it demotes every lane to the ladder,
+// which owns retries, diagnostics and breaker attribution from there.
 func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, stats *statsCollector, so ScanOpts) *execState {
 	exec := &execState{
 		results:  make([][]*Finding, len(plan.tasks)),
-		clean:    make([]bool, len(plan.tasks)),
-		steps:    make([]int, len(plan.tasks)),
+		entries:  make([]*resultstore.TaskEntry, len(plan.tasks)),
 		executed: len(plan.execIdx),
 		irc:      ir.NewCache(),
 	}
@@ -625,12 +637,21 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 	if !e.opts.DisableSummaryCache {
 		exec.shared = taint.NewSharedSummaries()
 	}
+	// ix encodes clean completions into exec.entries. Workers use it and
+	// write entries under entryMu, which checkpoints also hold while they
+	// read the entries (nodeIndexer is not concurrency-safe).
+	var (
+		ix      *nodeIndexer
+		entryMu sync.Mutex
+	)
+	if plan.store != nil {
+		ix = newNodeIndexer(p)
+	}
 	shared, irc := exec.shared, exec.irc
 	// The symptom scope memo lives exactly as long as this scan, so a
 	// long-lived engine never pins an earlier project's ASTs.
 	sx := e.extractor.NewScan()
 	tasks := plan.tasks
-	results := exec.results
 	budget := e.effectiveBudget()
 
 	var (
@@ -645,22 +666,80 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 		diagMu.Unlock()
 	}
 
-	// runAttempt executes one attempt of a task in its own goroutine so a
-	// panic is contained, a watchdog can abandon it, and an abandoned
-	// attempt keeps no reference to shared state (it reports through a
-	// buffered channel it owns). timedOut means the watchdog cut it off;
-	// interrupted means the scan context died mid-attempt.
-	runAttempt := func(t task, attemptBudget int) (out taskOutcome, elapsed time.Duration, timedOut, interrupted bool) {
+	// settle counts task i as dispositioned. clean is its outcome when it
+	// completed cleanly on its first attempt; with a store attached that
+	// outcome is encoded into its snapshot entry here, once, and the
+	// checkpointer counts the disposition.
+	settle := func(i int, clean *taskOutcome) {
+		completed.Add(1)
+		if ix == nil {
+			return
+		}
+		entryMu.Lock()
+		defer entryMu.Unlock()
+		if clean != nil {
+			if fs, ok := ix.encodeTask(clean.findings, plan.closures[i]); ok {
+				t := tasks[i]
+				exec.entries[i] = &resultstore.TaskEntry{
+					File: t.file.Path, Class: string(t.cls.ID),
+					Steps: clean.steps, Findings: fs,
+				}
+			}
+		}
+		ck.taskDone(exec.entries)
+	}
+
+	// admit runs breaker admission for a file group: a task whose class is
+	// tripped open is dispositioned without running, the rest come back as
+	// lanes.
+	admit := func(idxs []int) []lane {
+		lanes := make([]lane, 0, len(idxs))
+		for _, i := range idxs {
+			t := tasks[i]
+			ok, probe := e.breakers.allow(t.cls.ID)
+			if ok {
+				lanes = append(lanes, lane{i, probe})
+				continue
+			}
+			settle(i, nil)
+			stats.recordBreakerSkip(t.cls.ID)
+			addDiag(Diagnostic{
+				File: t.file.Path, Class: t.cls.ID, Kind: DiagBreakerOpen,
+				Message: fmt.Sprintf("class circuit breaker open after repeated faults; task skipped (cool-down %v)", e.breakers.cooldown),
+			})
+		}
+		return lanes
+	}
+
+	// attempt runs ls as the lanes of one pass in its own goroutine, so a
+	// panic is contained, a watchdog can abandon it, and an abandoned pass
+	// keeps no reference to shared state (it reports through a buffered
+	// channel it owns). It yields one outcome per lane — a recovered panic
+	// marks every lane — or, on a watchdog timeout, zero outcomes.
+	// interrupted means the scan context died before or during the pass.
+	attempt := func(ls []lane, budget int) (outs []taskOutcome, elapsed time.Duration, timedOut, interrupted bool) {
+		if ctx.Err() != nil {
+			return nil, 0, false, true
+		}
+		ts := make([]task, len(ls))
+		for k, l := range ls {
+			ts[k] = tasks[l.idx]
+		}
 		stop := new(atomic.Bool)
-		taskStart := time.Now()
-		outc := make(chan taskOutcome, 1)
+		start := time.Now()
+		outc := make(chan []taskOutcome, 1)
 		go func() {
 			defer func() {
 				if r := recover(); r != nil {
-					outc <- taskOutcome{panicVal: fmt.Sprint(r), stack: string(debug.Stack())}
+					fault := taskOutcome{panicVal: fmt.Sprint(r), stack: string(debug.Stack())}
+					outs := make([]taskOutcome, len(ts))
+					for k := range outs {
+						outs[k] = fault
+					}
+					outc <- outs
 				}
 			}()
-			outc <- e.runPass([]task{t}, p, stop, attemptBudget, shared, sx, irc)[0]
+			outc <- e.runPass(ts, p, stop, budget, shared, sx, irc)
 		}()
 
 		var timeoutC <-chan time.Time
@@ -670,45 +749,45 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 			timeoutC = timer.C
 		}
 		select {
-		case out = <-outc:
-			return out, time.Since(taskStart), false, false
+		case outs = <-outc:
+			return outs, time.Since(start), false, false
 		case <-timeoutC:
 			// Signal the cooperative stop and abandon the goroutine; it
 			// reports into its buffered channel and exits on its own. Its
 			// findings are discarded.
 			stop.Store(true)
-			return taskOutcome{}, time.Since(taskStart), true, false
+			return make([]taskOutcome, len(ts)), time.Since(start), true, false
 		case <-ctx.Done():
 			stop.Store(true)
-			return taskOutcome{}, time.Since(taskStart), false, true
+			return nil, time.Since(start), false, true
 		}
 	}
 
-	// execTask dispositions task i through the retry ladder: a faulted
+	// complete is the clean-completion disposition: publish findings and
+	// summaries, close the breaker, and settle (first marks a first-attempt
+	// completion, the only persistable one).
+	complete := func(l lane, out taskOutcome, elapsed time.Duration, first bool) {
+		t := tasks[l.idx]
+		stats.recordTask(t.cls.ID, out, elapsed)
+		shared.Commit(out.pending)
+		exec.results[l.idx] = out.findings
+		e.breakers.recordSuccess(t.cls.ID, l.probe)
+		if first {
+			settle(l.idx, &out)
+		} else {
+			settle(l.idx, nil)
+		}
+	}
+
+	// ladder dispositions one lane through the retry ladder: a faulted
 	// attempt (panic, watchdog timeout, budget exhaustion) is retried up to
-	// Options.RetryMax times with halving budgets and jittered backoff, so
-	// a transient stall costs a retry instead of the task's findings. A
-	// task that stays faulted through the ladder is terminal: it gets one
+	// Options.RetryMax times with halving budgets and jittered backoff, so a
+	// transient stall costs a retry instead of the task's findings. A task
+	// that stays faulted through the ladder is terminal: it gets one
 	// diagnostic (carrying its retry count) and charges the class's circuit
 	// breaker.
-	execTask := func(i int) {
-		t := tasks[i]
-		probe := false
-		if e.breakers != nil {
-			var ok bool
-			ok, probe = e.breakers.allow(t.cls.ID)
-			if !ok {
-				// Dispositioned without running: the class is tripped open.
-				completed.Add(1)
-				ck.taskDone(i, nil, 0, false)
-				stats.recordBreakerSkip(t.cls.ID)
-				addDiag(Diagnostic{
-					File: t.file.Path, Class: t.cls.ID, Kind: DiagBreakerOpen,
-					Message: fmt.Sprintf("class circuit breaker open after repeated faults; task skipped (cool-down %v)", e.breakers.cooldown),
-				})
-				return
-			}
-		}
+	ladder := func(l lane) {
+		t := tasks[l.idx]
 		var (
 			attemptBudget = budget
 			totalStart    = time.Now()
@@ -718,34 +797,17 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 			// what the largest budget could prove.
 			bestPartial []*Finding
 		)
-		for attempt := 0; ; attempt++ {
-			out, elapsed, timedOut, interrupted := runAttempt(t, attemptBudget)
+		for n := 0; ; n++ {
+			outs, elapsed, timedOut, interrupted := attempt([]lane{l}, attemptBudget)
 			if interrupted {
-				// Scan-level cancellation: the task stays undispositioned
-				// (the scan-level diagnostic accounts for it) and an unused
-				// probe slot is handed back for the next scan.
-				if e.breakers != nil {
-					e.breakers.releaseProbe(t.cls.ID, probe)
-				}
+				// Scan-level cancellation (also during a backoff): the task
+				// stays undispositioned (the scan-level diagnostic accounts
+				// for it) and an unused probe slot is handed back for the
+				// next scan.
+				e.breakers.releaseProbe(t.cls.ID, l.probe)
 				return
 			}
-			if out.stopped {
-				// Cooperative stop observed inside the pass: treated as
-				// cancellation, never retried, never charged to the breaker.
-				completed.Add(1)
-				stats.recordTask(t.cls.ID, out, elapsed)
-				addDiag(Diagnostic{
-					File: t.file.Path, Class: t.cls.ID, Kind: DiagTimeout,
-					Message: "analysis interrupted by cancellation", Elapsed: elapsed,
-					Retries: attempt,
-				})
-				results[i] = out.findings
-				if e.breakers != nil {
-					e.breakers.releaseProbe(t.cls.ID, probe)
-				}
-				return
-			}
-
+			out := outs[0]
 			var fault DiagKind
 			var msg string
 			switch {
@@ -764,40 +826,22 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 			}
 
 			if fault == "" {
-				// Clean completion: publish findings and summaries, close
-				// the breaker, and note the recovery when retries were spent.
-				completed.Add(1)
-				stats.recordTask(t.cls.ID, out, elapsed)
-				shared.Commit(out.pending)
-				results[i] = out.findings
-				if attempt == 0 {
-					// First-attempt completions are the only persistable
-					// outcome: see execState.clean.
-					exec.clean[i] = true
-					exec.steps[i] = out.steps
-					ck.taskDone(i, out.findings, out.steps, true)
-				} else {
-					ck.taskDone(i, nil, 0, false)
-				}
-				if e.breakers != nil {
-					e.breakers.recordSuccess(t.cls.ID, probe)
-				}
-				if attempt > 0 {
+				complete(l, out, elapsed, n == 0)
+				if n > 0 {
 					stats.recordRecovered(t.cls.ID)
 					addDiag(Diagnostic{
 						File: t.file.Path, Class: t.cls.ID, Kind: DiagRetried,
 						Message: fmt.Sprintf("recovered by retry ladder after %d retr%s (last fault: %s)",
-							attempt, plural(attempt, "y", "ies"), lastFault),
-						Elapsed: time.Since(totalStart), Retries: attempt,
+							n, plural(n, "y", "ies"), lastFault),
+						Elapsed: time.Since(totalStart), Retries: n,
 					})
 				}
 				return
 			}
 
-			if attempt >= e.opts.RetryMax {
+			if n >= e.opts.RetryMax {
 				// Terminal fault.
-				completed.Add(1)
-				ck.taskDone(i, nil, 0, false)
+				settle(l.idx, nil)
 				if !timedOut {
 					// An abandoned attempt has no outcome to account.
 					stats.recordTask(t.cls.ID, out, elapsed)
@@ -805,156 +849,46 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 				addDiag(Diagnostic{
 					File: t.file.Path, Class: t.cls.ID, Kind: fault,
 					Message: msg, Stack: out.stack, Elapsed: elapsed,
-					Retries: attempt,
+					Retries: n,
 				})
-				results[i] = bestPartial
-				if e.breakers != nil {
-					e.breakers.recordFault(t.cls.ID, probe)
-				}
+				exec.results[l.idx] = bestPartial
+				e.breakers.recordFault(t.cls.ID, l.probe)
 				return
 			}
 
 			lastFault = fault
 			stats.recordRetry(t.cls.ID)
 			attemptBudget = shrinkBudget(attemptBudget)
-			if !sleepBackoff(ctx, e.retryBackoff(attempt)) {
-				// Cancelled during backoff: same disposition as interrupted.
-				if e.breakers != nil {
-					e.breakers.releaseProbe(t.cls.ID, probe)
-				}
-				return
-			}
+			sleepBackoff(ctx, e.retryBackoff(n))
 		}
 	}
 
-	// execGroup dispositions one file's group: every runnable class lane of
-	// the file evaluated in a single multi-lane pass. A singleton group is
-	// one lane and goes straight to execTask's ladder. Lanes whose breaker
-	// is open are dispositioned here exactly as execTask would; a clean
-	// multi-lane pass gives each surviving lane execTask's
-	// first-attempt-completion disposition; any fault inside the pass
-	// (panic, watchdog deadline, a lane's step budget) demotes every lane
-	// to execTask's ladder of one-lane passes, which owns fault isolation,
-	// retries and breaker attribution from there.
-	execGroup := func(idxs []int) {
-		if len(idxs) == 1 {
-			execTask(idxs[0])
-			return
-		}
-		type lane struct {
-			idx   int
-			probe bool
-		}
-		lanes := make([]lane, 0, len(idxs))
-		for _, i := range idxs {
-			t := tasks[i]
-			if e.breakers != nil {
-				ok, probe := e.breakers.allow(t.cls.ID)
-				if !ok {
-					completed.Add(1)
-					ck.taskDone(i, nil, 0, false)
-					stats.recordBreakerSkip(t.cls.ID)
-					addDiag(Diagnostic{
-						File: t.file.Path, Class: t.cls.ID, Kind: DiagBreakerOpen,
-						Message: fmt.Sprintf("class circuit breaker open after repeated faults; task skipped (cool-down %v)", e.breakers.cooldown),
-					})
-					continue
+	// run dispositions one file group. The group's wall time on a clean
+	// fused pass is split evenly across lanes (per-class wall is
+	// schedule-dependent accounting either way). A faulted pass leaves no
+	// trace beyond the demotion counter: per-lane findings, diagnostics and
+	// breaker charges all come from the ladder, and demoted lanes keep their
+	// breaker admission.
+	run := func(idxs []int) {
+		lanes := admit(idxs)
+		if len(lanes) > 1 {
+			outs, elapsed, timedOut, interrupted := attempt(lanes, budget)
+			switch {
+			case interrupted:
+				// Each lane's ladder sees the dead context at once and hands
+				// its probe slot back.
+			case timedOut || slices.ContainsFunc(outs, taskOutcome.faulted):
+				stats.recordFusedDemotion(len(lanes))
+			default:
+				stats.recordFusedPass(len(lanes))
+				for k, l := range lanes {
+					complete(l, outs[k], elapsed/time.Duration(len(lanes)), true)
 				}
-				lanes = append(lanes, lane{i, probe})
-			} else {
-				lanes = append(lanes, lane{i, false})
-			}
-		}
-		releaseProbes := func() {
-			if e.breakers == nil {
 				return
 			}
-			for _, l := range lanes {
-				e.breakers.releaseProbe(tasks[l.idx].cls.ID, l.probe)
-			}
 		}
-		if len(lanes) < 2 {
-			// Not enough survivors to fuse. The probe slot is handed back
-			// first: execTask re-runs its own breaker admission.
-			releaseProbes()
-			for _, l := range lanes {
-				execTask(l.idx)
-			}
-			return
-		}
-
-		ts := make([]task, len(lanes))
-		for k, l := range lanes {
-			ts[k] = tasks[l.idx]
-		}
-		// The multi-lane attempt runs in its own goroutine under the same
-		// containment as runAttempt: a panic is recovered there, the
-		// watchdog can abandon it, and an abandoned attempt reports into a
-		// buffered channel it owns. A nil result means the pass faulted.
-		stop := new(atomic.Bool)
-		groupStart := time.Now()
-		outc := make(chan []taskOutcome, 1)
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					outc <- nil
-				}
-			}()
-			outc <- e.runPass(ts, p, stop, budget, shared, sx, irc)
-		}()
-		var timeoutC <-chan time.Time
-		if e.opts.TaskTimeout > 0 {
-			timer := time.NewTimer(e.opts.TaskTimeout)
-			defer timer.Stop()
-			timeoutC = timer.C
-		}
-		var outs []taskOutcome
-		select {
-		case outs = <-outc:
-		case <-timeoutC:
-			stop.Store(true)
-		case <-ctx.Done():
-			// Scan-level cancellation: the group stays undispositioned (the
-			// scan-level diagnostic accounts for it) and unused probe slots
-			// are handed back, like an interrupted one-lane attempt.
-			stop.Store(true)
-			releaseProbes()
-			return
-		}
-		if outs == nil {
-			// Fault inside the multi-lane pass. Per-lane dispositions,
-			// findings, diagnostics and breaker charges all come from the
-			// one-lane reruns; the faulted pass leaves no trace beyond the
-			// demotion counter.
-			stats.recordFusedDemotion(len(lanes))
-			releaseProbes()
-			for _, l := range lanes {
-				if ctx.Err() != nil {
-					return
-				}
-				execTask(l.idx)
-			}
-			return
-		}
-		// Clean multi-lane pass: each lane gets execTask's first-attempt
-		// completion disposition. The group's wall time is split evenly
-		// across lanes (per-class wall is schedule-dependent accounting
-		// either way).
-		wall := time.Since(groupStart) / time.Duration(len(lanes))
-		stats.recordFusedPass(len(lanes))
-		for k, l := range lanes {
-			i, out := l.idx, outs[k]
-			t := tasks[i]
-			completed.Add(1)
-			stats.recordTask(t.cls.ID, out, wall)
-			shared.Commit(out.pending)
-			results[i] = out.findings
-			exec.clean[i] = true
-			exec.steps[i] = out.steps
-			ck.taskDone(i, out.findings, out.steps, true)
-			if e.breakers != nil {
-				e.breakers.recordSuccess(t.cls.ID, l.probe)
-			}
+		for _, l := range lanes {
+			ladder(l)
 		}
 	}
 
@@ -985,7 +919,7 @@ func (e *Engine) executePlan(ctx context.Context, p *Project, plan *scanPlan, st
 				if n >= nUnits {
 					return
 				}
-				execGroup(groups[n])
+				run(groups[n])
 			}
 		}()
 	}
@@ -1022,38 +956,31 @@ func (e *Engine) mergeScan(ctx context.Context, plan *scanPlan, exec *execState,
 			exec.results[i] = r.findings
 		}
 	}
-	if err := ctx.Err(); err != nil {
+	err := ctx.Err()
+	for _, fs := range exec.results {
+		rep.Findings = append(rep.Findings, fs...)
+	}
+	// A partial report links the completed subset's write/read pairs like a
+	// full one would.
+	rep.linkStoredXSS()
+	if err != nil {
 		rep.Diagnostics = append(rep.Diagnostics, Diagnostic{
 			Kind: DiagTimeout,
 			Message: fmt.Sprintf("scan cancelled (%v) with %d of %d tasks incomplete; findings below are the completed subset",
 				err, int64(exec.executed)-exec.completed, exec.executed),
 			Elapsed: time.Since(start),
 		})
-		for _, fs := range exec.results {
-			rep.Findings = append(rep.Findings, fs...)
-		}
-		// The completed subset can still contain matching write/read pairs;
-		// a partial report links them like a full one would. Nothing is
-		// persisted: a snapshot from a cancelled scan would drop every
-		// unfinished task's entry, erasing a prior warm state for no gain.
-		rep.linkStoredXSS()
-		if plan.store != nil {
-			rep.Stats.Backend = plan.store.BackendState()
-		}
-		rep.Duration = time.Since(start)
-		return rep, err
+	} else {
+		// Only a complete scan persists: a snapshot from a cancelled scan
+		// would drop every unfinished task's entry, erasing a prior warm
+		// state for no gain.
+		e.persistSnapshot(ctx, rep.Project, plan, exec)
 	}
-
-	for _, fs := range exec.results {
-		rep.Findings = append(rep.Findings, fs...)
-	}
-	rep.linkStoredXSS()
-	e.persistSnapshot(ctx, rep.Project, plan, exec)
 	if plan.store != nil {
 		rep.Stats.Backend = plan.store.BackendState()
 	}
 	rep.Duration = time.Since(start)
-	return rep, nil
+	return rep, err
 }
 
 // shrinkBudget halves the step budget for the next retry attempt, so a
@@ -1089,18 +1016,16 @@ func (e *Engine) retryBackoff(attempt int) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d)+1))
 }
 
-// sleepBackoff waits d, returning false when ctx dies first.
-func sleepBackoff(ctx context.Context, d time.Duration) bool {
+// sleepBackoff waits d, or until ctx dies.
+func sleepBackoff(ctx context.Context, d time.Duration) {
 	if d <= 0 {
-		return ctx.Err() == nil
+		return
 	}
 	t := time.NewTimer(d)
 	defer t.Stop()
 	select {
 	case <-t.C:
-		return true
 	case <-ctx.Done():
-		return false
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 // class) granularity, so everything downstream (closure fingerprints,
 // result-store entries, the retry ladder, per-class breakers, diagnostics)
 // keeps its existing shape. A single task is a one-lane pass; a fault inside
-// a multi-lane pass demotes only that file's classes to one-lane passes.
+// a multi-lane pass demotes only that file's classes to one-lane passes
+// (executePlan's ladder).
 
 // fuseGroups slices the plan's execution queue into runs of consecutive
 // entries sharing a file. planScan emits the queue file-major, so a linear
@@ -39,10 +40,9 @@ func fuseGroups(plan *scanPlan) [][]int {
 // and assembles one outcome per lane: findings with symptoms and the FP
 // prediction, step and cache accounting, and pending shared summaries.
 //
-// A one-lane pass always yields its outcome; when the pass stopped early it
-// carries exhausted or stopped, and its findings are the sound prefix the
-// pass proved before stopping. A multi-lane pass that stops early returns
-// nil: the other lanes were cut off too, so the caller demotes the group to
+// When the pass stops early every lane carries exhausted, and its findings
+// are the sound prefix the pass proved before stopping. For a multi-lane
+// pass the other lanes were cut off too, so the caller demotes the group to
 // one-lane passes.
 func (e *Engine) runPass(ts []task, p *Project, stop *atomic.Bool, budget int, shared *taint.SharedSummaries, sx *symptom.Scan, irc *ir.Cache) []taskOutcome {
 	cfgs := make([]taint.Config, len(ts))
@@ -72,9 +72,7 @@ func (e *Engine) runPass(ts []task, p *Project, stop *atomic.Bool, budget int, s
 	file := ts[0].file
 	// The lowered form is built once per file by the scan's IR cache and
 	// shared read-only across every pass that touches the file.
-	if !fz.FileIR(file.AST, irc.File(file.AST), irc) && len(ts) > 1 {
-		return nil
-	}
+	fz.FileIR(file.AST, irc.File(file.AST), irc)
 	outs := make([]taskOutcome, len(ts))
 	for k := range ts {
 		out := &outs[k]
@@ -88,7 +86,6 @@ func (e *Engine) runPass(ts []task, p *Project, stop *atomic.Bool, budget int, s
 			out.findings = append(out.findings, f)
 		}
 		out.exhausted = fz.Exhausted(k)
-		out.stopped = fz.Stopped(k)
 		out.steps = fz.Steps(k)
 		out.cacheHits = fz.SharedHits(k)
 		out.cacheMisses = fz.SharedMisses(k)

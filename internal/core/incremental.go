@@ -352,24 +352,15 @@ func (e *Engine) persistSnapshot(ctx context.Context, p *Project, plan *scanPlan
 	snap := resultstore.NewSnapshot(p.Name, plan.digest)
 	snap.Tasks = make(map[string]*resultstore.TaskEntry, len(plan.tasks))
 	next := make(map[string]*decodedTask, len(plan.tasks))
-	ix := newNodeIndexer(p)
-	for i, t := range plan.tasks {
+	for i := range plan.tasks {
 		fp := plan.fingerprints[i]
 		switch {
 		case plan.reused[i] != nil:
 			snap.Tasks[fp] = plan.reused[i].entry
 			next[fp] = plan.reused[i]
-		case exec.clean[i]:
-			fs, ok := ix.encodeTask(exec.results[i], plan.closures[i])
-			if !ok {
-				continue
-			}
-			entry := &resultstore.TaskEntry{
-				File: t.file.Path, Class: string(t.cls.ID),
-				Steps: exec.steps[i], Findings: fs,
-			}
-			snap.Tasks[fp] = entry
-			next[fp] = &decodedTask{closure: plan.closures[i], findings: exec.results[i], entry: entry}
+		case exec.entries[i] != nil:
+			snap.Tasks[fp] = exec.entries[i]
+			next[fp] = &decodedTask{closure: plan.closures[i], findings: exec.results[i], entry: exec.entries[i]}
 		}
 	}
 	// The next generation's results mirror exactly what was persisted, so

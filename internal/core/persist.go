@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"repro/internal/php/ast"
 	"repro/internal/php/token"
 	"repro/internal/resultstore"
@@ -13,26 +11,19 @@ import (
 // checkpointer persists partial snapshots while a scan is still executing,
 // so a process killed mid-scan leaves its completed tasks warm in the store
 // for the resumed attempt. Every partial snapshot is a valid snapshot — the
-// plan's reused entries plus the cleanly completed tasks so far — and
-// correctness never depends on one existing: fingerprints gate all reuse, so
-// a missing, stale or torn checkpoint only costs re-execution. The final
-// persistSnapshot on scan completion supersedes the last checkpoint.
+// plan's reused entries plus the entries of the cleanly completed tasks so
+// far (execState.entries) — and correctness never depends on one existing:
+// fingerprints gate all reuse, so a missing, stale or torn checkpoint only
+// costs re-execution. The final persistSnapshot on scan completion
+// supersedes the last checkpoint.
 //
 // A nil *checkpointer is valid and inert, so call sites need no guards.
 type checkpointer struct {
-	p    *Project
-	plan *scanPlan
-	so   ScanOpts
-
-	mu sync.Mutex
-	// ix is the encoder's node indexer, shared across workers under mu
-	// (nodeIndexer itself is not concurrency-safe).
-	ix *nodeIndexer
-	// fresh accumulates the entries of cleanly completed first-attempt
-	// tasks, keyed by fingerprint.
-	fresh map[string]*resultstore.TaskEntry
-	done  int
+	p     *Project
+	plan  *scanPlan
+	so    ScanOpts
 	stats *statsCollector
+	done  int
 }
 
 // newCheckpointer returns nil — no checkpointing — unless a store is
@@ -41,52 +32,31 @@ func newCheckpointer(p *Project, plan *scanPlan, so ScanOpts, stats *statsCollec
 	if so.Store == nil || so.CheckpointEvery <= 0 || plan.store == nil {
 		return nil
 	}
-	return &checkpointer{
-		p: p, plan: plan, so: so,
-		ix:    newNodeIndexer(p),
-		fresh: make(map[string]*resultstore.TaskEntry),
-		stats: stats,
-	}
+	return &checkpointer{p: p, plan: plan, so: so, stats: stats}
 }
 
-// taskDone records one dispositioned execution task. persistable marks a
-// clean first-attempt completion, the only outcome whose findings enter the
-// checkpoint (mirroring execState.clean). Every CheckpointEvery-th
-// disposition persists a partial snapshot.
-func (c *checkpointer) taskDone(i int, findings []*Finding, steps int, persistable bool) {
+// taskDone counts one dispositioned execution task; every
+// CheckpointEvery-th disposition persists a partial snapshot of the reused
+// entries plus entries (aligned with plan.tasks). The caller holds the lock
+// that guards entries, which also serializes taskDone.
+func (c *checkpointer) taskDone(entries []*resultstore.TaskEntry) {
 	if c == nil {
 		return
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.done++
-	if persistable {
-		if fs, ok := c.ix.encodeTask(findings, c.plan.closures[i]); ok {
-			t := c.plan.tasks[i]
-			c.fresh[c.plan.fingerprints[i]] = &resultstore.TaskEntry{
-				File: t.file.Path, Class: string(t.cls.ID),
-				Steps: steps, Findings: fs,
-			}
-		}
+	if c.done%c.so.CheckpointEvery != 0 || c.done >= len(c.plan.execIdx) {
+		return
 	}
-	if c.done%c.so.CheckpointEvery == 0 && c.done < len(c.plan.execIdx) {
-		c.save()
-	}
-}
-
-// save persists the current partial snapshot: reused entries verbatim plus
-// the fresh completions so far. Best-effort, like every store save. Caller
-// holds c.mu.
-func (c *checkpointer) save() {
 	snap := resultstore.NewSnapshot(c.p.Name, c.plan.digest)
 	for i, r := range c.plan.reused {
-		if r != nil {
+		switch {
+		case r != nil:
 			snap.Tasks[c.plan.fingerprints[i]] = r.entry
+		case entries[i] != nil:
+			snap.Tasks[c.plan.fingerprints[i]] = entries[i]
 		}
 	}
-	for fp, entry := range c.fresh {
-		snap.Tasks[fp] = entry
-	}
+	// Best-effort, like every store save.
 	if err := c.plan.store.Save(snap); err != nil {
 		return
 	}
@@ -109,8 +79,9 @@ func (c *checkpointer) save() {
 // re-executes.
 
 // nodeIndexer lazily builds per-file node→index and index→node tables over a
-// project's ASTs. It is not safe for concurrent use; the engine encodes and
-// decodes only on the coordinating goroutine.
+// project's ASTs. It is not safe for concurrent use: the plan stage decodes
+// on the coordinating goroutine, and the execute stage encodes under its
+// entries lock.
 type nodeIndexer struct {
 	p       *Project
 	byNode  map[string]map[ast.Node]int

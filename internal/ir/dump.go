@@ -22,13 +22,6 @@ func Dump(f *File) string {
 	return b.String()
 }
 
-// DumpFunc renders one lowered function.
-func DumpFunc(fn *Func) string {
-	var b strings.Builder
-	dumpFunc(&b, fn, "func "+fn.Name, 0)
-	return b.String()
-}
-
 func dumpFunc(b *strings.Builder, fn *Func, label string, depth int) {
 	ind := strings.Repeat("  ", depth)
 	fmt.Fprintf(b, "%s%s regs=%d blocks=%d at %d:%d\n",

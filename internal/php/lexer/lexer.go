@@ -60,9 +60,6 @@ func (l *Lexer) release() {
 	pool.Put(l)
 }
 
-// Errors returns the lexical errors encountered so far.
-func (l *Lexer) Errors() []*Error { return l.errs }
-
 // TokenCapHint sizes a token buffer from the source length: PHP averages
 // roughly one token per six bytes, and the constant floor absorbs tiny files.
 func TokenCapHint(srcLen int) int { return srcLen/6 + 16 }

@@ -201,12 +201,6 @@ func (x *Extractor) extract(c *taint.Candidate, file *ast.File, indexFor func(as
 	return present
 }
 
-// ExtractVector extracts symptoms and builds the new-layout vector (the
-// label is not known at extraction time and defaults to false).
-func (x *Extractor) ExtractVector(c *taint.Candidate, file *ast.File) Vector {
-	return NewVectorFromSet(x.Extract(c, file), false)
-}
-
 // flowVars identifies the variables participating in a candidate flow: the
 // plain variables of the trace plus the specific superglobal cells (e.g.
 // $_GET['id']) it reads. Guards on other cells of the same superglobal do

@@ -37,7 +37,6 @@
 package taint
 
 import (
-	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -127,9 +126,6 @@ func (fz *Fused) Candidates(l int) []*Candidate { return fz.lanes[l].cands }
 // Exhausted reports whether lane l stopped early (step budget or stop
 // flag); its candidates are then the prefix found before the stop.
 func (fz *Fused) Exhausted(l int) bool { return fz.lanes[l].exhausted }
-
-// Stopped reports whether lane l was cut off by the cooperative stop flag.
-func (fz *Fused) Stopped(l int) bool { return fz.lanes[l].stopped }
 
 // Steps returns lane l's exact step count — what the lane's one-lane pass
 // would have counted.
@@ -223,9 +219,9 @@ func (fz *Fused) releaseFrame(fr *fframe) {
 // FileIR analyzes f through its lowered form fir with every lane at once.
 // It returns false when the pass stopped early — a lane reaching the step
 // budget, or the cooperative stop flag — and every lane is then marked
-// Exhausted (and Stopped, for the flag). A one-lane caller keeps the lane's
-// candidates as a sound prefix; a multi-lane caller re-runs the lanes as
-// one-lane passes.
+// Exhausted (its Analyzer also Stopped, for the flag). A one-lane caller
+// keeps the lane's candidates as a sound prefix; a multi-lane caller
+// re-runs the lanes as one-lane passes.
 func (fz *Fused) FileIR(f *ast.File, fir *ir.File, prov ir.Provider) bool {
 	for _, a := range fz.lanes {
 		a.reset(f)
@@ -933,7 +929,7 @@ func (fz *Fused) runIndex(ins *ir.Instr, fr *fframe) fval {
 		if ins.Name == "_SERVER" && serverKeySafe(ins.Key) {
 			return fval{}
 		}
-		src := fmt.Sprintf("$%s[%s]", ins.Name, ins.Key)
+		src := "$" + ins.Name + "[" + ins.Key + "]"
 		return fuseUniform(Value{
 			Tainted: true,
 			Sources: []Source{{Name: src, Pos: ins.Pos()}},

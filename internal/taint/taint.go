@@ -218,6 +218,18 @@ func (c *Candidate) Key() string {
 		c.Class, c.SinkName, c.SinkPos.File, c.SinkPos.Line, c.SinkPos.Column, c.ArgIndex)
 }
 
+// candKey holds the fields Key formats, as a comparable value: the
+// analyzer deduplicates on it without formatting a string per report.
+type candKey struct {
+	class          vuln.ClassID
+	sink, file     string
+	line, col, arg int
+}
+
+func (c *Candidate) dedupKey() candKey {
+	return candKey{c.Class, c.SinkName, c.SinkPos.File, c.SinkPos.Line, c.SinkPos.Column, c.ArgIndex}
+}
+
 // String renders a one-line description.
 func (c *Candidate) String() string {
 	src := "?"
@@ -284,7 +296,7 @@ type Analyzer struct {
 	class     *vuln.Class
 	file      *ast.File
 	cands     []*Candidate
-	seen      map[string]bool
+	seen      map[candKey]bool
 	depth     int
 	curFunc   string
 	analyzing map[*ast.FunctionDecl]bool // recursion guard
@@ -345,7 +357,7 @@ func New(cfg Config) *Analyzer {
 	return &Analyzer{
 		cfg:       cfg,
 		class:     cfg.Class,
-		seen:      make(map[string]bool),
+		seen:      make(map[candKey]bool),
 		analyzing: make(map[*ast.FunctionDecl]bool),
 		summaries: make(map[string]*summary),
 	}
@@ -374,7 +386,7 @@ func (a *Analyzer) FileIR(f *ast.File, fir *ir.File, prov ir.Provider) []*Candid
 func (a *Analyzer) reset(f *ast.File) {
 	a.file = f
 	a.cands = a.cands[:0]
-	a.seen = make(map[string]bool)
+	a.seen = make(map[candKey]bool)
 	a.steps = 0
 	a.exhausted = false
 	a.stopped = false
@@ -396,7 +408,7 @@ func (a *Analyzer) report(c *Candidate) {
 		cc := *c
 		a.fill.cands = append(a.fill.cands, &cc)
 	}
-	k := c.Key()
+	k := c.dedupKey()
 	if a.seen[k] {
 		return
 	}
